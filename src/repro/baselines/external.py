@@ -15,7 +15,13 @@ from repro.dcs import InsertReceipt, QueryResult, resolve_result
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.exceptions import DimensionMismatchError, UnreachableError
-from repro.exec import WAREHOUSE_CELL, Execution, QueryPlan, run_staged
+from repro.exec import (
+    WAREHOUSE_CELL,
+    Execution,
+    QueryPlan,
+    check_query_dimensions,
+    run_staged,
+)
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
 
@@ -89,6 +95,7 @@ class ExternalStorage:
 
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
         """Every plan points at the single warehouse cell."""
+        check_query_dimensions(self.dimensions, query)
         return QueryPlan(
             system="external",
             sink=sink,
@@ -141,11 +148,7 @@ class ExternalStorage:
         """Scan the warehouse store — only if its reply made it back."""
         query: RangeQuery = plan.query
         warehouse_answered = self.sink in execution.answered
-        events = (
-            [event for event in self._events if query.matches(event)]
-            if warehouse_answered
-            else []
-        )
+        events = query.filter(self._events) if warehouse_answered else []
         return resolve_result(
             events=events,
             forward_cost=execution.forward_cost,

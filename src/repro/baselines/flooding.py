@@ -21,7 +21,13 @@ from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.exceptions import DimensionMismatchError
 from repro.exceptions import UnreachableError
-from repro.exec import ALL_CELLS, Execution, QueryPlan, run_staged
+from repro.exec import (
+    ALL_CELLS,
+    Execution,
+    QueryPlan,
+    check_query_dimensions,
+    run_staged,
+)
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
 
@@ -73,6 +79,7 @@ class LocalStorageFlooding:
         on which nodes hold matches, so only literal repeats of the same
         query produce interchangeable executions.
         """
+        check_query_dimensions(self.dimensions, query)
         return QueryPlan(
             system="flooding",
             sink=sink,
@@ -101,7 +108,7 @@ class LocalStorageFlooding:
         responders: list[int] = []
         lost_responders: list[int] = []
         for node, stored in self._storage.items():
-            matches = [event for event in stored if query.matches(event)]
+            matches = query.filter(stored)
             if not matches:
                 continue
             responders.append(node)

@@ -25,6 +25,7 @@ need global knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.core.resolve import query_ranges_for_pool, relevant_offsets
@@ -144,7 +145,7 @@ class _Execution:
             self.pools_visited += 1
             derived = query_ranges_for_pool(self.query, pool.index)
             destinations: dict[int, None] = {}
-            holders_events: dict[int, list[Event]] = {}
+            holders_segments: dict[int, list[list[Event]]] = {}
             for ho, vo in offsets:
                 cell = pool.cell_at(ho, vo)
                 store = self.system._stores.get((pool.index, ho, vo))
@@ -153,10 +154,13 @@ class _Execution:
                     continue
                 for segment in store.segments_overlapping(derived.vertical):
                     destinations.setdefault(segment.node)
-                    bucket = holders_events.setdefault(segment.node, [])
-                    for event in segment.events:
-                        if self.query.matches(event):
-                            bucket.append(event)
+                    holders_segments.setdefault(segment.node, []).append(
+                        segment.events
+                    )
+            holders_events = {
+                node: self.query.filter(chain.from_iterable(segments))
+                for node, segments in holders_segments.items()
+            }
             splitter = self.system.splitter(self.sink, pool.index)
             self._launch_pool(splitter, list(destinations), holders_events)
 

@@ -50,6 +50,19 @@ def _check_offset(offset: int, side_length: int, name: str) -> None:
         )
 
 
+def _row_ranges(ho: int, side_length: int) -> list[tuple[float, float]]:
+    """Equation 1 ``Range_V`` of every row of column ``ho``, by ``VO``.
+
+    The caller validates; the resolver calls this once per column
+    instead of validating every cell.
+    """
+    l_sq = side_length * side_length
+    return [
+        (vo * (ho + 1) / l_sq, (vo + 1) * (ho + 1) / l_sq)
+        for vo in range(side_length)
+    ]
+
+
 def horizontal_range(ho: int, side_length: int) -> tuple[float, float]:
     """``Range_H`` of any cell in column offset ``ho`` (Equation 1)."""
     _check_side(side_length)
@@ -62,8 +75,7 @@ def vertical_range(ho: int, vo: int, side_length: int) -> tuple[float, float]:
     _check_side(side_length)
     _check_offset(ho, side_length, "HO")
     _check_offset(vo, side_length, "VO")
-    l_sq = side_length * side_length
-    return (vo * (ho + 1) / l_sq, (vo + 1) * (ho + 1) / l_sq)
+    return _row_ranges(ho, side_length)[vo]
 
 
 def cell_value_ranges(

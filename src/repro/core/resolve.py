@@ -27,9 +27,9 @@ from typing import TYPE_CHECKING
 from repro.core.grid import Cell
 from repro.core.pool import PoolLayout
 from repro.core.ranges import (
+    _row_ranges,
     horizontal_range,
     ranges_intersect,
-    vertical_range,
 )
 from repro.events.queries import RangeQuery
 from repro.exceptions import ValidationError
@@ -124,8 +124,8 @@ def relevant_offsets(
             h_range, derived.horizontal, closed_top=(ho == side_length - 1)
         ):
             continue
-        for vo in range(side_length):
-            v_range = vertical_range(ho, vo, side_length)
+        # ``ho`` is validated above, so the rows need no per-cell check.
+        for vo, v_range in enumerate(_row_ranges(ho, side_length)):
             if ranges_intersect(
                 v_range, derived.vertical, closed_top=(vo == side_length - 1)
             ):

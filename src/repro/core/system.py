@@ -16,6 +16,7 @@ Implements the :class:`~repro.dcs.DataCentricStore` protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.grid import Cell, Grid
@@ -40,7 +41,7 @@ from repro.exceptions import (
     DimensionMismatchError,
     UnreachableError,
 )
-from repro.exec import Execution, QueryPlan, run_staged
+from repro.exec import Execution, QueryPlan, check_query_dimensions, run_staged
 from repro.geometry import distance_sq
 from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
@@ -607,6 +608,7 @@ class PoolSystem:
         holders (ordered-deduplicated) the splitter tree must reach —
         everything the sink computes locally before any radio traffic.
         """
+        check_query_dimensions(self.dimensions, query)
         tel = self.network.telemetry
         legs: list[PoolLegPlan] = []
         for pool in self.pools:
@@ -709,7 +711,7 @@ class PoolSystem:
         """
         query: RangeQuery = plan.query
         detail = PoolQueryDetail()
-        events: list[Event] = []
+        answered_segments: list[list[Event]] = []
         visited: list[int] = []
         attempted_cells = 0
         answered_cells = 0
@@ -742,13 +744,10 @@ class PoolSystem:
                 if store is None:
                     continue
                 for segment in store.segments_overlapping(leg.vertical):
-                    if segment.node not in leg_exec.answered:
-                        continue
-                    for event in segment.events:
-                        if query.matches(event):
-                            events.append(event)
+                    if segment.node in leg_exec.answered:
+                        answered_segments.append(segment.events)
         return resolve_result(
-            events=events,
+            events=query.filter(chain.from_iterable(answered_segments)),
             forward_cost=execution.forward_cost,
             reply_cost=execution.reply_cost,
             visited_nodes=tuple(visited),

@@ -27,6 +27,7 @@ the weakness (Section 1 of the Pool paper) that motivated DIM and Pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from repro.dcs import InsertReceipt, QueryResult, resolve_result
@@ -37,7 +38,7 @@ from repro.exceptions import (
     DimensionMismatchError,
     UnreachableError,
 )
-from repro.exec import Execution, QueryPlan, run_staged
+from repro.exec import Execution, QueryPlan, check_query_dimensions, run_staged
 from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
@@ -262,6 +263,7 @@ class DifsIndex:
 
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
         """Pure resolving: canonical decomposition at the sink, zero messages."""
+        check_query_dimensions(self.dimensions, query)
         lo, hi = query.bounds[self.attribute]
         ranges = self.canonical_ranges(lo, hi)
         # Visit the leaf nodes under every canonical range (data lives at
@@ -366,14 +368,11 @@ class DifsIndex:
         self, leaf_ranges: list[_IndexRange], query: RangeQuery
     ) -> tuple[list[Event], int]:
         """Retrieve and post-filter matches held under ``leaf_ranges``."""
-        events: list[Event] = []
-        fetched = 0
-        for leaf in leaf_ranges:
-            for event in self._storage.get((leaf.lo, leaf.hi), ()):
-                fetched += 1
-                if query.matches(event):
-                    events.append(event)
-        return events, fetched
+        stored = [self._storage.get((leaf.lo, leaf.hi), ()) for leaf in leaf_ranges]
+        return (
+            query.filter(chain.from_iterable(stored)),
+            sum(len(events) for events in stored),
+        )
 
     def _leaves_under(self, node: _IndexRange) -> list[_IndexRange]:
         if node.depth == self.depth:

@@ -11,6 +11,7 @@ benchmark harness can drive DIM and Pool identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from repro.aggregates import AggregateKind, AggregateState
@@ -253,12 +254,9 @@ class DimIndex:
     # ------------------------------------------------------------------ #
 
     def _collect(self, zones: list[Zone], query: RangeQuery) -> list[Event]:
-        matches: list[Event] = []
-        for zone in zones:
-            for event in self._storage.get(zone.code, ()):
-                if query.matches(event):
-                    matches.append(event)
-        return matches
+        return query.filter(
+            chain.from_iterable(self._storage.get(zone.code, ()) for zone in zones)
+        )
 
     @property
     def stored_events(self) -> int:

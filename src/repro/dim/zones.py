@@ -245,21 +245,31 @@ class ZoneTree:
         hyper-rectangle.  The number of returned zones grows with network
         size for a fixed query — the scalability weakness the paper's
         Figure 6 demonstrates.
+
+        A child's value box differs from its parent's only on the split
+        dimension ``depth mod k``, so once the root overlaps, each child
+        needs testing on that axis alone, with the same closed comparison
+        as :meth:`Zone.overlaps`.
         """
         if query.dimensions != self.dimensions:
             raise DimensionMismatchError(self.dimensions, query.dimensions, "query")
+        if not self.root.overlaps(query):
+            return []
+        bounds = query.bounds
         result: list[Zone] = []
         stack = [self.root]
         while stack:
             zone = stack.pop()
-            if not zone.overlaps(query):
-                continue
             if zone.is_leaf:
                 result.append(zone)
-            else:
-                assert zone.low is not None and zone.high is not None
-                stack.append(zone.high)
-                stack.append(zone.low)
+                continue
+            assert zone.low is not None and zone.high is not None
+            dim = zone.depth % self.dimensions
+            q_lo, q_hi = bounds[dim]
+            for child in (zone.high, zone.low):
+                lo, hi = child.value_box[dim]
+                if not (hi < q_lo or q_hi < lo):
+                    stack.append(child)
         result.sort(key=lambda z: z.code)
         return result
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.events.event import Event
 from repro.exceptions import DimensionMismatchError, ValidationError
@@ -196,9 +196,30 @@ class RangeQuery:
             raise DimensionMismatchError(len(self.bounds), len(values), "event")
         return all(lo <= v <= hi for v, (lo, hi) in zip(values, self.bounds))
 
-    def filter(self, events: Sequence[Event]) -> list[Event]:
-        """All events in ``events`` matching this query (brute force)."""
-        return [event for event in events if self.matches(event)]
+    def filter(self, events: Iterable[Event]) -> list[Event]:
+        """All events in ``events`` matching this query, in input order.
+
+        The fold kernel of every storage system.  It agrees with
+        :meth:`matches` on every event but tests only the specified
+        dimensions: an :class:`Event` holds values in ``[0, 1]`` (never
+        NaN), so a full-range test always passes.  The caller guarantees
+        the events have this query's dimensionality — ``plan_query``
+        rejects a mismatched query before anything is folded.
+        """
+        tests = tuple(
+            (index, lo, hi)
+            for index, (lo, hi) in enumerate(self.bounds)
+            if lo > 0.0 or hi < 1.0
+        )
+        matched: list[Event] = []
+        for event in events:
+            values = event.values
+            for index, lo, hi in tests:
+                if not lo <= values[index] <= hi:
+                    break
+            else:
+                matched.append(event)
+        return matched
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts: list[str] = []

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.grid import Cell
 from repro.core.pool import PoolLayout
@@ -123,4 +125,59 @@ class TestRelevantOffsets:
         for pool in range(3):
             assert len(relevant_offsets(narrow, pool, 10)) <= len(
                 relevant_offsets(wide, pool, 10)
+            )
+
+
+def scalar_relevant_offsets(
+    query: RangeQuery, pool: int, side: int
+) -> list[tuple[int, int]]:
+    """Algorithm 2 cell by cell, with Equation 1 written out: the oracle."""
+    derived = query_ranges_for_pool(query, pool)
+    if derived.is_empty:
+        return []
+
+    def meets(cell, query_range, closed_top):
+        (a, b), (lo, hi) = cell, query_range
+        return a <= hi and (lo <= b if closed_top else lo < b)
+
+    offsets = []
+    for ho in range(side):
+        h_cell = (ho / side, (ho + 1) / side)
+        if not meets(h_cell, derived.horizontal, ho == side - 1):
+            continue
+        for vo in range(side):
+            v_cell = (vo * (ho + 1) / side**2, (vo + 1) * (ho + 1) / side**2)
+            if meets(v_cell, derived.vertical, vo == side - 1):
+                offsets.append((ho, vo))
+    return offsets
+
+
+@st.composite
+def edge_queries(draw, side):
+    """Queries whose bounds often sit exactly on Equation 1 cell edges."""
+    edges = sorted(
+        {ho / side for ho in range(side + 1)}
+        | {vo * (ho + 1) / side**2 for ho in range(side) for vo in range(side + 1)}
+    )
+    value = st.one_of(
+        st.sampled_from(edges), st.floats(min_value=0.0, max_value=1.0)
+    )
+    k = draw(st.integers(min_value=1, max_value=4))
+    bounds = []
+    for _ in range(k):
+        lo, hi = sorted((draw(value), draw(value)))
+        if draw(st.booleans()):
+            lo, hi = 0.0, 1.0
+        bounds.append((lo, hi))
+    return RangeQuery(tuple(bounds))
+
+
+class TestResolveEquivalence:
+    @settings(max_examples=300)
+    @given(st.data(), st.integers(min_value=1, max_value=12))
+    def test_matches_cell_by_cell_scan(self, data, side):
+        query = data.draw(edge_queries(side))
+        for pool in range(query.dimensions):
+            assert relevant_offsets(query, pool, side) == scalar_relevant_offsets(
+                query, pool, side
             )

@@ -140,6 +140,31 @@ class TestQueryDecomposition:
         with pytest.raises(DimensionMismatchError):
             tree.zones_for_query(RangeQuery.of((0.0, 1.0)))
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=4),
+        st.data(),
+    )
+    def test_descent_equals_leaf_scan(self, n, seed, dimensions, data):
+        # The single-axis descent must prune exactly like testing every
+        # leaf's whole value box.
+        tree = ZoneTree(
+            deploy_uniform(n, seed=seed, target_degree=8, require_connected=False),
+            dimensions,
+        )
+        value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), unit)
+        bounds = []
+        for _ in range(dimensions):
+            lo, hi = sorted((data.draw(value), data.draw(value)))
+            bounds.append((lo, hi))
+        query = RangeQuery(tuple(bounds))
+        expected = sorted(
+            (z for z in tree.leaves if z.overlaps(query)), key=lambda z: z.code
+        )
+        assert tree.zones_for_query(query) == expected
+
     def test_iter_zones_contains_leaves(self, tree):
         all_zones = list(tree.iter_zones())
         leaf_codes = {leaf.code for leaf in tree.leaves}

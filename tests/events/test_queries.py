@@ -117,6 +117,41 @@ class TestMatching:
         q = RangeQuery.of((0.0, 0.5), (0.0, 0.5))
         assert q.filter(events) == [events[0], events[2]]
 
+    def test_filter_accepts_any_iterable(self):
+        events = [Event.of(0.1, 0.9), Event.of(0.3, 0.2), Event.of(0.2, 0.5)]
+        q = RangeQuery.partial(2, {0: (0.1, 0.2)})
+        assert q.filter(iter(events)) == [events[0], events[2]]
+        assert q.filter(()) == []
+
+    def test_filter_full_query_keeps_everything(self):
+        events = [Event.of(0.0, 1.0), Event.of(1.0, 0.0), Event.of(0.5, 0.5)]
+        assert RangeQuery.partial(2, {}).filter(events) == events
+
+    @given(st.data(), st.integers(min_value=1, max_value=5))
+    def test_filter_equals_matches(self, data, k):
+        # The scalar reference: matches() tests every dimension, filter()
+        # only the specified ones.  Draw bounds and values from the edge
+        # values so closed bounds, points, 0.0 and 1.0 meet often.
+        edges = st.sampled_from([0.0, 1.0, 0.25, 0.5])
+        value = st.one_of(edges, unit)
+        bounds = []
+        for _ in range(k):
+            lo, hi = sorted((data.draw(value), data.draw(value)))
+            shape = data.draw(st.sampled_from(["range", "point", "full"]))
+            if shape == "point":
+                hi = lo
+            elif shape == "full":
+                lo, hi = FULL_RANGE
+            bounds.append((lo, hi))
+        query = RangeQuery(tuple(bounds))
+        pool = [*(lo for lo, _ in bounds), *(hi for _, hi in bounds), 0.0, 1.0]
+        event_value = st.one_of(st.sampled_from(pool), unit)
+        events = [
+            Event(tuple(data.draw(event_value) for _ in range(k)), seq=seq)
+            for seq in range(data.draw(st.integers(min_value=0, max_value=30)))
+        ]
+        assert query.filter(events) == [e for e in events if query.matches(e)]
+
     @given(queries(), st.lists(unit, min_size=5, max_size=5))
     def test_rewritten_dimensions_always_match(self, query, values):
         event_values = tuple(values[: query.dimensions])

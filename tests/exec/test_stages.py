@@ -81,6 +81,23 @@ class TestPlanStage:
         for query in QUERIES:
             assert loaded_system.plan_query(0, query).cells
 
+    @pytest.mark.parametrize("dimensions", [2, 4])
+    def test_plan_rejects_wrong_dimensionality(self, loaded_system, dimensions):
+        # Planning is the public entry of the staged API: a mismatched
+        # query must fail here, before execute_plan charges anything.
+        stats = loaded_system.network.stats
+        before = stats.checkpoint()
+        with pytest.raises(DimensionMismatchError):
+            loaded_system.plan_query(0, RangeQuery.partial(dimensions, {}))
+        assert all(v == 0 for v in stats.delta(before).values())
+
+    @pytest.mark.parametrize("name", sorted(SYSTEM_FACTORIES))
+    def test_empty_system_rejects_wrong_dimensionality(self, net300, name):
+        system = SYSTEM_FACTORIES[name](net300)
+        for dimensions in (2, 4):
+            with pytest.raises(DimensionMismatchError):
+                system.plan_query(0, RangeQuery.partial(dimensions, {0: (0.1, 0.2)}))
+
 
 class TestStagedComposition:
     def test_query_equals_manual_stage_chain(self, loaded_system):

@@ -120,7 +120,7 @@ class ContinuousQueryService:
             }
             splitter = self.system.splitter(sink, pool.index)
             network.unicast(MessageCategory.QUERY_FORWARD, sink, splitter)
-            network.multicast(
+            network.disseminate(
                 MessageCategory.QUERY_FORWARD, splitter, sorted(destinations)
             )
             cells.update((pool.index, ho, vo) for ho, vo in offsets)

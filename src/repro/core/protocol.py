@@ -36,6 +36,7 @@ from repro.exceptions import DimensionMismatchError, QueryError
 from repro.network.messages import MessageCategory
 from repro.network.simulator import Simulator
 from repro.routing.multicast import MulticastTree, TreeBuilder
+from repro.telemetry.spans import open_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.spans import SpanRecorder
@@ -352,20 +353,14 @@ def run_query_on_simulator(
         )
     simulator.stats.reset()
     execution = _Execution(system, simulator, sink, query, recorder)
-    if recorder is None:
+    with open_span(recorder, "distributed-query", phase="simulate", sink=sink) as root:
         execution.start()
         simulator.run()
-    else:
-        with recorder.span(
-            "distributed-query", phase="simulate", sink=sink
-        ) as root:
-            execution.start()
-            simulator.run()
-            root.add_messages(
-                simulator.stats.count(MessageCategory.QUERY_FORWARD)
-                + simulator.stats.count(MessageCategory.QUERY_REPLY)
-            )
-            root.attrs["pools_visited"] = execution.pools_visited
+        root.add_messages(
+            simulator.stats.count(MessageCategory.QUERY_FORWARD)
+            + simulator.stats.count(MessageCategory.QUERY_REPLY)
+        )
+        root.annotate(pools_visited=execution.pools_visited)
     if execution.outstanding_pools:
         raise QueryError(
             f"{execution.outstanding_pools} pool(s) never replied; "

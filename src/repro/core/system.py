@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.grid import Cell, Grid
 from repro.core.insertion import Placement, candidate_placements
@@ -47,9 +47,7 @@ from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
 from repro.rng import SeedLike, derive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.spans import SpanRecorder
+from repro.telemetry.spans import open_span
 
 __all__ = [
     "PoolSystem",
@@ -921,7 +919,7 @@ class PoolSystem:
             detail=result.detail,
         )
 
-    def _forward(self, sink: int, leg: PoolLegPlan) -> PoolLegExecution:
+    def _forward(self, sink: int, leg_plan: PoolLegPlan) -> PoolLegExecution:
         """Charge the forwarding (and implicitly reply) messages for a Pool.
 
         Returns the leg's transport outcome: hop counts plus the set of
@@ -930,76 +928,27 @@ class PoolSystem:
         layer an unreachable splitter (or a lost splitter→sink reply)
         empties the set and the fold degrades the whole Pool to
         unanswered.
+
+        Span tree per Pool (Section 3.2.3): ``pool-fanout`` wrapping
+        ``sink-to-splitter`` (the unicast leg), ``cell-fanout`` (recorded
+        by the tree builder) and ``reply-aggregation`` (the replies
+        retracing the tree, then splitter → sink).  On lossless links the
+        message totals mirror the ledger exactly.  Under a reliability
+        layer they can differ (the ledger also charges retransmissions,
+        and unreached nodes send no reply), a ``delivery-failure`` event
+        span marks an unreachable splitter, and ``reply-aggregation``
+        gains an ``answered`` attribute.
         """
         tel = self.network.telemetry
-        if tel is not None:
-            return self._forward_instrumented(sink, leg, tel)
-        destinations = list(leg.destinations)
-        if self.route_via_splitter:
-            splitter = leg.splitter
-            try:
-                path = self.network.unicast(
-                    MessageCategory.QUERY_FORWARD, sink, splitter
-                )
-            except UnreachableError as err:
-                hops = max(len(err.partial_path) - 1, 0)
-                return PoolLegExecution(
-                    pool=leg.pool,
-                    sink_to_splitter_hops=hops,
-                    tree_edges=0,
-                    depth_hops=hops,
-                    answered=frozenset(),
-                )
-            sink_hops = len(path) - 1
-            root = splitter
-        else:
-            sink_hops = 0
-            root = sink
-            path = [sink]
-        delivery = self.network.disseminate(
-            MessageCategory.QUERY_FORWARD, root, destinations
-        )
-        # Aggregated replies: back down the tree, then splitter -> sink.
-        answered, _ = self.network.collect_up_tree(
-            MessageCategory.QUERY_REPLY, delivery
-        )
-        if self.network.reliability is None:
-            self.network.stats.record(MessageCategory.QUERY_REPLY, sink_hops)
-        else:
-            try:
-                self.network.send_along(
-                    MessageCategory.QUERY_REPLY, list(reversed(path))
-                )
-            except UnreachableError:
-                answered = frozenset()
-        return PoolLegExecution(
-            pool=leg.pool,
-            sink_to_splitter_hops=sink_hops,
-            tree_edges=delivery.attempted_edges,
-            depth_hops=sink_hops + delivery.tree.height(),
-            answered=answered,
-        )
-
-    def _forward_instrumented(
-        self, sink: int, leg_plan: PoolLegPlan, tel: "SpanRecorder"
-    ) -> PoolLegExecution:
-        """The `_forward` path with the Section 3.2.3 lifecycle spanned.
-
-        Span tree per Pool: ``pool-fanout`` wrapping ``sink-to-splitter``
-        (the unicast leg), ``cell-fanout`` (recorded by the tree builder)
-        and ``reply-aggregation`` (the replies retracing the tree, then
-        splitter → sink).  Message totals mirror the ledger exactly.
-        Under a reliability layer a ``delivery-failure`` event span marks
-        an unreachable splitter, and ``reply-aggregation`` gains an
-        ``answered`` attribute.
-        """
         rel = self.network.reliability
         pool = leg_plan.pool
         destinations = list(leg_plan.destinations)
-        with tel.span("pool-fanout", phase="forward", pool=pool) as pool_span:
+        with open_span(tel, "pool-fanout", phase="forward", pool=pool) as pool_span:
             if self.route_via_splitter:
                 splitter = leg_plan.splitter
-                with tel.span("sink-to-splitter", phase="forward", pool=pool) as leg:
+                with open_span(
+                    tel, "sink-to-splitter", phase="forward", pool=pool
+                ) as leg:
                     try:
                         path = self.network.unicast(
                             MessageCategory.QUERY_FORWARD, sink, splitter
@@ -1008,12 +957,13 @@ class PoolSystem:
                         hops = max(len(err.partial_path) - 1, 0)
                         leg.add_messages(hops)
                         leg.add_nodes(err.partial_path)
-                        tel.record(
-                            "delivery-failure",
-                            phase="forward",
-                            pool=pool,
-                            unreachable=splitter,
-                        )
+                        if tel is not None:
+                            tel.record(
+                                "delivery-failure",
+                                phase="forward",
+                                pool=pool,
+                                unreachable=splitter,
+                            )
                         return PoolLegExecution(
                             pool=pool,
                             sink_to_splitter_hops=hops,
@@ -1033,7 +983,8 @@ class PoolSystem:
                 MessageCategory.QUERY_FORWARD, root, destinations
             )
             tree = delivery.tree
-            with tel.span("reply-aggregation", phase="reply", pool=pool) as reply:
+            with open_span(tel, "reply-aggregation", phase="reply", pool=pool) as reply:
+                # Aggregated replies: back down the tree, then splitter -> sink.
                 answered, reply_messages = self.network.collect_up_tree(
                     MessageCategory.QUERY_REPLY, delivery
                 )
@@ -1048,10 +999,10 @@ class PoolSystem:
                         )
                     except UnreachableError:
                         answered = frozenset()
+                    reply.annotate(answered=len(answered))
                 reply.add_messages(reply_messages + sink_hops)
-                reply.add_nodes(tree.nodes())
-                if rel is not None:
-                    reply.attrs["answered"] = len(answered)
+                # Lazy, so only a real span pays for listing the tree's nodes.
+                reply.add_nodes(chain((tree.root,), chain.from_iterable(tree.edges)))
             pool_span.add_messages(2 * (sink_hops + delivery.attempted_edges))
             pool_span.add_nodes(destinations)
         return PoolLegExecution(

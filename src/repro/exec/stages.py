@@ -35,6 +35,7 @@ from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.exceptions import DimensionMismatchError
 from repro.exec.plan import QueryPlan
+from repro.telemetry.spans import open_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.network import Network
@@ -119,18 +120,16 @@ def run_staged(
 
     This is the body of every system's ``query()`` compatibility wrapper:
     the dimension check happens *before* the span opens (as the
-    monolithic implementations did), and the span totals mirror the
-    ledger exactly.
+    monolithic implementations did), and the span's message total is the
+    result's ``total_cost``.  With telemetry off the span is the shared
+    no-op, so the body is the same either way.
     """
     check_query_dimensions(system.dimensions, query)
     tel = system.network.telemetry
-    if tel is None:
-        plan = system.plan_query(sink, query)
-        return system.fold_replies(plan, system.execute_plan(plan))
-    with tel.span("query", phase="query", sink=sink) as span:
+    with open_span(tel, "query", phase="query", sink=sink) as span:
         plan = system.plan_query(sink, query)
         result = system.fold_replies(plan, system.execute_plan(plan))
         span.add_messages(result.total_cost)
         span.add_nodes(result.visited_nodes)
-        span.attrs.update(system.query_span_attrs(result))
+        span.annotate(**system.query_span_attrs(result))
         return result

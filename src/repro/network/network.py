@@ -7,9 +7,10 @@ handful of communication primitives Pool, DIM and GHT need:
 
 * :meth:`unicast` / :meth:`unicast_to_point` — one logical message, hop
   count recorded under a category;
-* :meth:`multicast` — build a merged forwarding tree and record the
-  dissemination cost;
-* :meth:`reply_up_tree` — record the aggregated reply traffic of a tree.
+* :meth:`disseminate` — push one message down a merged forwarding tree,
+  reporting which nodes it reached;
+* :meth:`collect_up_tree` — aggregate the replies back up that tree,
+  reporting which nodes' replies reached the root.
 
 Several facades can share one deployment: :meth:`scope` returns a sibling
 facade over the same topology and route cache whose ledger is an
@@ -32,7 +33,7 @@ from repro.network.messages import MessageCategory
 from repro.network.reliability import ReliabilityLayer
 from repro.network.topology import Topology
 from repro.routing.gpsr import GPSRRouter
-from repro.routing.multicast import MulticastTree, TreeBuilder, TreeDelivery
+from repro.routing.multicast import TreeBuilder, TreeDelivery
 from repro.routing.planarization import PlanarizationKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,8 +63,8 @@ class Network:
     telemetry:
         Optional :class:`~repro.telemetry.spans.SpanRecorder` observing
         query lifecycles on this facade and every scope derived from it.
-        ``None`` (the default) keeps the instrumented paths at one ``if``
-        per operation with zero allocation, like the message tracer.
+        ``None`` (the default) makes every span a shared no-op, so the
+        instrumented paths allocate no spans.
     flight_recorder:
         Optional :class:`~repro.obs.recorder.FlightRecorder` capturing
         per-hop events (hop + GPSR mode, ARQ losses/retransmits) for
@@ -244,23 +245,6 @@ class Network:
                 category, path, self.stats, flight=flight, pid=pid, modes=modes
             )
 
-    def multicast(
-        self,
-        category: MessageCategory,
-        src: int,
-        destinations: Sequence[int],
-    ) -> MulticastTree:
-        """Disseminate one message to ``destinations`` along a merged tree.
-
-        Records one transmission per tree edge under ``category`` and
-        returns the tree (callers typically follow up with
-        :meth:`reply_up_tree`).  Under a reliability layer this delegates
-        to :meth:`disseminate`; callers that need the delivery outcome
-        (reached/unreachable sets) should call :meth:`disseminate`
-        directly.
-        """
-        return self.disseminate(category, src, destinations).tree
-
     def disseminate(
         self,
         category: MessageCategory,
@@ -271,7 +255,7 @@ class Network:
 
         Without a reliability layer every tree node is reached and the
         whole dissemination is charged in bulk (one transmission per
-        edge, identical to the historical :meth:`multicast` accounting).
+        edge).
         With one, edges are attempted in deterministic BFS order (parents
         before children, siblings sorted); an edge whose ARQ budget is
         exhausted prunes its subtree — a branch that never heard the
@@ -344,18 +328,6 @@ class Network:
             if ok:
                 answered.add(node)
         return frozenset(answered), len(reply_edges)
-
-    def reply_up_tree(
-        self, category: MessageCategory, tree: MulticastTree
-    ) -> int:
-        """Record the aggregated reply traffic of ``tree``; returns its cost.
-
-        One message per tree edge: replies merge at branch points before
-        being forwarded upstream (Section 3.2.3's in-network aggregation).
-        """
-        cost = tree.reply_cost
-        self.stats.record(category, cost)
-        return cost
 
     # ------------------------------------------------------------------ #
     # Accounting helpers                                                 #

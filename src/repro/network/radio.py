@@ -17,12 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.network.messages import MessageCategory
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.trace import MessageTracer
 
 __all__ = ["MessageStats", "EnergyModel"]
 
@@ -46,8 +43,6 @@ class MessageStats:
         self._per_node_tx: Counter[int] = Counter()
         self._per_node_rx: Counter[int] = Counter()
         self._scopes: list[MessageStats] = []
-        self._tracer: "MessageTracer | None" = None
-        self._tracer_inherited = False
 
     def scope(self, label: str | None = None) -> "MessageStats":
         """An independent child ledger aggregated into this one on reads.
@@ -58,30 +53,8 @@ class MessageStats:
         disturbing any sibling system sharing the deployment.
         """
         child = MessageStats(label=label)
-        if self._tracer is not None and self._tracer_inherited:
-            child._tracer = self._tracer
-            child._tracer_inherited = True
         self._scopes.append(child)
         return child
-
-    def attach_tracer(
-        self,
-        tracer: "MessageTracer | None",
-        *,
-        inherit: bool = False,
-    ) -> None:
-        """Mirror every transmission recorded *in this scope* into ``tracer``.
-
-        Pass ``None`` to detach.  See :mod:`repro.network.trace`.  With
-        ``inherit=False`` (the default) child scopes carry their own
-        tracers; with ``inherit=True`` scopes created *after* this call
-        share the tracer (recursively), so a facade-level tracer observes
-        every system's traffic with each record tagged by the recording
-        scope's label.  Already-existing children are never retargeted —
-        attach before fanning out.
-        """
-        self._tracer = tracer
-        self._tracer_inherited = inherit and tracer is not None
 
     # ------------------------------------------------------------------ #
     # Recording                                                          #
@@ -109,8 +82,6 @@ class MessageStats:
             self._per_node_tx[sender] += hops
         if receiver is not None:
             self._per_node_rx[receiver] += hops
-        if self._tracer is not None:
-            self._tracer.record(category, hops, sender, receiver, self.label)
 
     def record_path(self, category: MessageCategory, path: Iterable[int]) -> None:
         """Record a multi-hop traversal: one transmission per path edge."""

@@ -1,7 +1,7 @@
 """The per-hop flight recorder: a bounded ring of routing events.
 
 A :class:`FlightRecorder` is the aviation-style black box of one system's
-run: every logical packet sent through :meth:`Network.send_along` opens a
+run, and the one place to look for the exact hops a packet took: every logical packet sent through :meth:`Network.send_along` opens a
 packet entry, and every one-hop transmission appends an event — the hop
 taken and its GPSR mode (greedy/perimeter), plus (under a reliability
 layer) per-hop losses, retransmissions, recovery ACKs and exhausted-ARQ
@@ -17,9 +17,9 @@ packets) — and :meth:`as_dict` additionally sorts events by
 configuration.  ``repro.shard.merge`` applies the same sort as an
 idempotent normalization.
 
-Cost: like the span recorder and the message tracer, a facade without a
-recorder attached (``Network.flight_recorder is None``) pays one ``if``
-per send and never allocates — the zero-cost-when-off contract the
+Cost: a facade without a recorder attached
+(``Network.flight_recorder is None``) pays one ``if`` per send and never
+allocates — the zero-cost-when-off contract the
 telemetry byte-identity tests pin.
 
 The ring is bounded (``capacity`` events); when full, the oldest events

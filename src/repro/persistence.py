@@ -21,11 +21,6 @@ from repro.events.queries import RangeQuery
 from repro.exceptions import ValidationError
 from repro.geometry import Rect
 from repro.network.topology import Topology
-from repro.telemetry.export import (
-    ACCEPTED_SCHEMAS,
-    TELEMETRY_SCHEMA,
-    validate_record,
-)
 
 __all__ = [
     "topology_to_dict",
@@ -35,8 +30,6 @@ __all__ = [
     "queries_to_dict",
     "queries_from_dict",
     "result_from_dict",
-    "telemetry_to_dict",
-    "telemetry_from_dict",
     "save_json",
     "load_json",
 ]
@@ -163,40 +156,6 @@ def result_from_dict(payload: dict[str, Any]) -> ExperimentResult:
         paper_claim=str(payload.get("paper_claim", "")),
         rows=rows,
     )
-
-
-# --------------------------------------------------------------------- #
-# Telemetry                                                             #
-# --------------------------------------------------------------------- #
-
-
-def telemetry_to_dict(records: list[dict[str, Any]]) -> dict[str, Any]:
-    """Wrap telemetry records (``ExperimentResult.telemetry``) as one
-    versioned document — the single-file alternative to the JSONL export
-    of :mod:`repro.telemetry.export` (same schema tag, same records)."""
-    return {
-        "schema": TELEMETRY_SCHEMA,
-        "records": [validate_record(record) for record in records],
-    }
-
-
-def telemetry_from_dict(payload: dict[str, Any]) -> list[dict[str, Any]]:
-    """Unwrap a telemetry document; rejects unknown schema versions.
-
-    Accepts every tag in
-    :data:`repro.telemetry.export.ACCEPTED_SCHEMAS` — same reader policy
-    as the JSONL form, so archived ``telemetry/1`` documents stay usable.
-    """
-    schema = payload.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
-        raise ValidationError(
-            f"expected schema in {ACCEPTED_SCHEMAS!r}, got {schema!r}; "
-            "refusing to guess"
-        )
-    records = payload.get("records")
-    if not isinstance(records, list):
-        raise ValidationError("telemetry document missing 'records' list")
-    return [validate_record(record) for record in records]
 
 
 # --------------------------------------------------------------------- #

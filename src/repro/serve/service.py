@@ -73,6 +73,7 @@ from repro.serve.report import (
     ServeReport,
 )
 from repro.serve.schedule import ServeRequest, ServeSchedule
+from repro.telemetry.spans import open_span
 
 __all__ = ["QueryService", "merge_partial_results"]
 
@@ -340,64 +341,57 @@ class QueryService:
     def _serve_batch(
         self, batch: list[ServeRequest], report: ServeReport
     ) -> float:
-        tel = self.system.network.telemetry
-        if tel is None:
-            return self._serve_batch_inner(batch, report)
-        with tel.span("serve-batch", phase="serve", size=len(batch)):
-            return self._serve_batch_inner(batch, report)
+        """Serve one admitted batch inside a ``serve-batch`` span.
 
-    def _serve_batch_inner(
-        self, batch: list[ServeRequest], report: ServeReport
-    ) -> float:
-        """Serve one admitted batch; returns its completion time.
-
-        The return value (max ``served_at`` across the batch, at least
-        the batch's start time) drives the admitted loop's server
-        occupancy; the legacy loop ignores it.
+        Returns the batch's completion time: the max ``served_at`` across
+        the batch, at least the batch's start time.  It drives the
+        admitted loop's server occupancy; the legacy loop ignores it.
         """
-        done_at = self.clock.now
-        # Cache lookups come before planning: a hit skips resolving
-        # entirely (no resolve telemetry, zero messages).
-        groups: dict[Hashable, list[tuple[ServeRequest, QueryPlan]]] = {}
-        for request in batch:
-            try:
-                check_query_dimensions(self.system.dimensions, request.query)
-            except DimensionMismatchError:
-                # A malformed request is the client's fault, never the
-                # service's: reject it and keep serving the rest.
-                self._finish(
-                    request,
-                    report,
-                    outcome=OUTCOME_REJECTED,
-                    messages=0,
-                    saved=0,
-                    depth_hops=0,
-                    matches=0,
-                )
-                continue
-            if self.cache is not None:
-                entry = self.cache.lookup(request.sink, request.query)
-                if entry is not None:
-                    # The folded result already sits at this sink; no
-                    # radio round trip, latency is pure queue wait.
+        tel = self.system.network.telemetry
+        with open_span(tel, "serve-batch", phase="serve", size=len(batch)):
+            done_at = self.clock.now
+            # Cache lookups come before planning: a hit skips resolving
+            # entirely (no resolve telemetry, zero messages).
+            groups: dict[Hashable, list[tuple[ServeRequest, QueryPlan]]] = {}
+            for request in batch:
+                try:
+                    check_query_dimensions(self.system.dimensions, request.query)
+                except DimensionMismatchError:
+                    # A malformed request is the client's fault, never the
+                    # service's: reject it and keep serving the rest.
                     self._finish(
                         request,
                         report,
-                        outcome=OUTCOME_CACHE,
+                        outcome=OUTCOME_REJECTED,
                         messages=0,
-                        saved=entry.cost,
+                        saved=0,
                         depth_hops=0,
-                        matches=entry.result.match_count,
+                        matches=0,
                     )
                     continue
-            if self.breaker is not None and self.breaker.is_open(self.clock.now):
-                self._serve_while_open(request, report)
-                continue
-            plan = self.system.plan_query(request.sink, request.query)
-            groups.setdefault(plan.share_key, []).append((request, plan))
-        for members in groups.values():
-            done_at = max(done_at, self._execute_group(members, report))
-        return done_at
+                if self.cache is not None:
+                    entry = self.cache.lookup(request.sink, request.query)
+                    if entry is not None:
+                        # The folded result already sits at this sink; no
+                        # radio round trip, latency is pure queue wait.
+                        self._finish(
+                            request,
+                            report,
+                            outcome=OUTCOME_CACHE,
+                            messages=0,
+                            saved=entry.cost,
+                            depth_hops=0,
+                            matches=entry.result.match_count,
+                        )
+                        continue
+                if self.breaker is not None and self.breaker.is_open(self.clock.now):
+                    self._serve_while_open(request, report)
+                    continue
+                plan = self.system.plan_query(request.sink, request.query)
+                groups.setdefault(plan.share_key, []).append((request, plan))
+            for members in groups.values():
+                done_at = max(done_at, self._execute_group(members, report))
+            return done_at
 
     def _serve_while_open(
         self, request: ServeRequest, report: ServeReport

@@ -6,13 +6,15 @@ Three cooperating pieces, all off by default and free when disabled:
   :class:`SpanRecorder` attached to a :class:`~repro.network.network.Network`
   facade collects nested spans (sink → splitter → cell fan-out →
   aggregated replies) carrying phase, system label, message cost, node
-  set and wall-clock.
+  set and wall-clock.  Instrumented code opens spans through
+  :func:`open_span`, which yields a shared no-op span when no recorder
+  is attached.
 * :mod:`repro.telemetry.metrics` — a metrics registry (counters, gauges,
   histograms) layered on the :class:`~repro.network.radio.MessageStats`
   scope tree, with derived hotspot statistics (max/mean load, Gini
   coefficient, top-k nodes) and per-node residual-energy maps.
 * :mod:`repro.telemetry.export` — deterministic JSONL export under the
-  versioned ``telemetry/2`` schema (``telemetry/1`` plus per-span-kind
+  versioned ``telemetry/2`` schema (span trees, metrics, per-span-kind
   ``profile`` blocks and the optional ``flight_recorder`` ring), merged
   in fixed cell order by the parallel experiment runner so ``--jobs 1``
   and ``--jobs N`` emit byte-identical files (wall-clock excluded,
@@ -39,11 +41,12 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     gini,
 )
-from repro.telemetry.spans import Span, SpanRecorder
+from repro.telemetry.spans import Span, SpanRecorder, open_span
 
 __all__ = [
     "Span",
     "SpanRecorder",
+    "open_span",
     "Counter",
     "Gauge",
     "Histogram",

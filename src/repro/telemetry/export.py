@@ -14,11 +14,10 @@ tag (``telemetry/2``) and run parameters; every following line is one
 record.  All dumps use sorted keys and compact separators so identical
 payloads serialize identically.
 
-Schema history: ``telemetry/2`` adds the ``profile`` block (the
+Schema history: ``telemetry/2`` added the ``profile`` block (the
 deterministic span-kind fold :mod:`repro.obs.profile` computes) and the
-optional ``flight_recorder`` block.  :func:`read_telemetry_jsonl` still
-accepts ``telemetry/1`` files — every v1 field kept its meaning — but
-always *writes* the current schema.
+optional ``flight_recorder`` block to ``telemetry/1``.
+:func:`read_telemetry_jsonl` accepts only the current schema.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "TELEMETRY_SCHEMA",
-    "ACCEPTED_SCHEMAS",
     "collect_system_record",
     "write_telemetry_jsonl",
     "read_telemetry_jsonl",
@@ -46,11 +44,6 @@ __all__ = [
 
 #: The versioned schema tag carried by every export (header line).
 TELEMETRY_SCHEMA = "telemetry/2"
-
-#: Schema tags :func:`read_telemetry_jsonl` accepts.  v1 files predate
-#: the ``profile``/``flight_recorder`` blocks but are otherwise
-#: field-compatible, so readers keep working on archived captures.
-ACCEPTED_SCHEMAS = ("telemetry/1", "telemetry/2")
 
 
 def _node_map(mapping: dict[int, int | float], *, digits: int | None = None) -> dict[str, Any]:
@@ -192,21 +185,17 @@ def write_telemetry_jsonl(
 def read_telemetry_jsonl(
     path: str | Path,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Load ``(header, records)``; rejects unknown schema versions.
-
-    Accepts every tag in :data:`ACCEPTED_SCHEMAS` (currently v1 and v2),
-    so archived ``telemetry/1`` captures stay readable; writers always
-    emit :data:`TELEMETRY_SCHEMA`.
-    """
+    """Load ``(header, records)``; rejects any schema but
+    :data:`TELEMETRY_SCHEMA`."""
     text = Path(path).read_text("utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty telemetry file")
     header = json.loads(lines[0])
     schema = header.get("schema") if isinstance(header, dict) else None
-    if schema not in ACCEPTED_SCHEMAS:
+    if schema != TELEMETRY_SCHEMA:
         raise ValidationError(
-            f"expected schema in {ACCEPTED_SCHEMAS!r}, got {schema!r}; "
+            f"expected schema {TELEMETRY_SCHEMA!r}, got {schema!r}; "
             "refusing to guess"
         )
     records = [validate_record(json.loads(line)) for line in lines[1:]]

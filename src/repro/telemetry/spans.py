@@ -9,9 +9,11 @@ layers (``core/system.py``, ``core/resolve.py``, ``routing/multicast.py``,
 ``core/protocol.py``, the baselines) produce one tree per operation
 without threading parent handles around.
 
-Telemetry is opt-in exactly like the message tracer: a facade without a
-recorder attached (``Network.telemetry is None``) costs one ``if`` per
-instrumented operation and never allocates a span.
+Telemetry is opt-in: a facade without a recorder attached
+(``Network.telemetry is None``) never allocates a span.  Instrumented
+operations open their spans through :func:`open_span`, which hands back
+one shared, stateless no-op span when there is no recorder, so every
+operation has a single body that runs the same with telemetry on or off.
 
 Determinism: everything a span carries except its wall-clock window is a
 pure function of the seed, so :meth:`Span.as_dict` excludes timings by
@@ -24,9 +26,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, ContextManager, Iterable, Iterator
 
-__all__ = ["Span", "SpanRecorder"]
+__all__ = ["Span", "SpanRecorder", "open_span"]
 
 
 @dataclass(slots=True)
@@ -57,6 +59,10 @@ class Span:
     def add_nodes(self, nodes: Iterable[int]) -> None:
         """Mark node ids as touched by this span."""
         self.nodes.update(nodes)
+
+    def annotate(self, **attrs: Any) -> None:
+        """Set (or overwrite) attributes on this span."""
+        self.attrs.update(attrs)
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""
@@ -242,3 +248,48 @@ class SpanRecorder:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SpanRecorder(label={self.label!r}, roots={len(self.roots)})"
+
+
+class _NoopSpan:
+    """The span :func:`open_span` yields without a recorder.
+
+    Stateless and shared: every method discards its arguments, and the
+    context-manager protocol returns the same object, so a disabled
+    operation allocates no span.  Deliberately not a :class:`Span` or
+    :class:`SpanRecorder` subclass — with telemetry off the real span API
+    is never touched.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+    def add_messages(self, count: int) -> None:
+        pass
+
+    def add_nodes(self, nodes: Iterable[int]) -> None:
+        pass
+
+    def annotate(self, **attrs: Any) -> None:
+        pass
+
+
+_NOOP_SPAN = _NoopSpan()
+
+
+def open_span(
+    recorder: SpanRecorder | None, name: str, *, phase: str, **attrs: Any
+) -> ContextManager[Span] | _NoopSpan:
+    """``recorder.span(name, ...)``, or the shared no-op span without one.
+
+    Lets an instrumented operation keep one body: it always writes
+    ``with open_span(tel, ...) as span:`` and charges the span, and the
+    charges cost a method call each when telemetry is off.
+    """
+    if recorder is None:
+        return _NOOP_SPAN
+    return recorder.span(name, phase=phase, **attrs)

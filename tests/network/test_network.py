@@ -26,21 +26,23 @@ class TestUnicast:
 
 class TestMulticast:
     def test_tree_cost_recorded(self, net300):
-        tree = net300.multicast(MessageCategory.QUERY_FORWARD, 0, [50, 100, 150])
+        delivery = net300.disseminate(
+            MessageCategory.QUERY_FORWARD, 0, [50, 100, 150]
+        )
         assert (
             net300.stats.count(MessageCategory.QUERY_FORWARD)
-            == tree.forward_cost
+            == delivery.tree.forward_cost
         )
 
     def test_reply_up_tree(self, net300):
-        tree = net300.multicast(MessageCategory.QUERY_FORWARD, 0, [50, 100])
-        cost = net300.reply_up_tree(MessageCategory.QUERY_REPLY, tree)
-        assert cost == tree.reply_cost
+        delivery = net300.disseminate(MessageCategory.QUERY_FORWARD, 0, [50, 100])
+        _, cost = net300.collect_up_tree(MessageCategory.QUERY_REPLY, delivery)
+        assert cost == delivery.tree.reply_cost
         assert net300.stats.count(MessageCategory.QUERY_REPLY) == cost
 
     def test_empty_destinations(self, net300):
-        tree = net300.multicast(MessageCategory.QUERY_FORWARD, 0, [])
-        assert tree.forward_cost == 0
+        delivery = net300.disseminate(MessageCategory.QUERY_FORWARD, 0, [])
+        assert delivery.tree.forward_cost == 0
         assert net300.stats.total == 0
 
 

@@ -1,7 +1,7 @@
-"""Pinned schema fixtures: telemetry/1 stays readable, telemetry/2 is
-the written format, and both round-trip byte-for-byte.
+"""Pinned schema fixture: telemetry/2 is the one read and written
+format, and it round-trips byte-for-byte.
 
-The fixture files are committed artifacts — regenerating them is an
+The fixture file is a committed artifact — regenerating it is an
 explicit schema-evolution act, so an accidental change to the writer or
 the record layout fails here first.
 """
@@ -14,51 +14,27 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.obs.percentiles import latency_report
 from repro.obs.profile import profile_records
 from repro.telemetry.export import (
-    ACCEPTED_SCHEMAS,
     TELEMETRY_SCHEMA,
     read_telemetry_jsonl,
     write_telemetry_jsonl,
 )
 
-FIXTURES = Path(__file__).parent / "fixtures"
-V1 = FIXTURES / "capture_v1.jsonl"
-V2 = FIXTURES / "capture_v2.jsonl"
+V2 = Path(__file__).parent / "fixtures" / "capture_v2.jsonl"
 
 
 class TestSchemaTags:
     def test_current_schema_is_v2(self):
         assert TELEMETRY_SCHEMA == "telemetry/2"
-        assert ACCEPTED_SCHEMAS == ("telemetry/1", "telemetry/2")
 
     def test_unknown_schema_rejected(self, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"schema": "telemetry/99", "records": 0}\n', "utf-8")
-        with pytest.raises(ValidationError):
-            read_telemetry_jsonl(bad)
-
-
-class TestV1Fixture:
-    def test_still_readable(self):
-        header, records = read_telemetry_jsonl(V1)
-        assert header["schema"] == "telemetry/1"
-        (record,) = records
-        assert "profile" not in record and "flight_recorder" not in record
-
-    def test_obs_tools_fold_v1_spans(self):
-        _, records = read_telemetry_jsonl(V1)
-        entries = profile_records(records)
-        assert [e.name for e in entries] == ["fanout", "range-query"]
-        (row,) = latency_report(records)
-        assert (row.system, row.queries) == ("pool", 1)
-
-    def test_rewriting_upgrades_the_schema(self, tmp_path):
-        _, records = read_telemetry_jsonl(V1)
-        out = write_telemetry_jsonl(tmp_path / "up.jsonl", records, seed=0)
-        header, _ = read_telemetry_jsonl(out)
-        assert header["schema"] == "telemetry/2"
+        # telemetry/1 is retired: only the current schema is readable.
+        for schema in ("telemetry/99", "telemetry/1"):
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(f'{{"schema": "{schema}", "records": 0}}\n', "utf-8")
+            with pytest.raises(ValidationError):
+                read_telemetry_jsonl(bad)
 
 
 class TestV2Fixture:

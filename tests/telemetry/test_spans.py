@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.telemetry.spans import Span, SpanRecorder
+from repro.telemetry.spans import Span, SpanRecorder, open_span
 
 
 def _fixed_clock():
@@ -33,6 +33,11 @@ class TestSpan:
         assert "seconds" not in payload
         assert payload["nodes"] == [1, 2, 3]  # sorted, deterministic
         assert span.as_dict(include_timings=True)["seconds"] == 1.0
+
+    def test_annotate_sets_attrs(self):
+        span = Span(name="q", phase="query", attrs={"a": 1})
+        span.annotate(a=2, b=3)
+        assert span.attrs == {"a": 2, "b": 3}
 
     def test_walk_depth_first(self):
         root = Span(name="a", phase="p")
@@ -104,3 +109,25 @@ class TestSpanRecorder:
         rec = SpanRecorder(label="pool", clock=_fixed_clock())
         rec.record("x", phase="p", system="dim")
         assert rec.roots[0].system == "dim"
+
+
+class TestOpenSpan:
+    def test_without_recorder_returns_one_shared_noop(self):
+        first = open_span(None, "a", phase="p")
+        second = open_span(None, "b", phase="q", pool=1)
+        assert first is second
+        assert not isinstance(first, Span)
+        with first as span:
+            assert span is first
+            span.add_messages(3)
+            span.add_nodes([1, 2])
+            span.annotate(answered=0)
+
+    def test_with_recorder_opens_a_real_span(self):
+        recorder = SpanRecorder(label="pool", clock=_fixed_clock())
+        with open_span(recorder, "query", phase="query", sink=4) as span:
+            span.add_messages(2)
+            span.annotate(matches=1)
+        (root,) = recorder.roots
+        assert (root.name, root.messages) == ("query", 2)
+        assert root.attrs == {"sink": 4, "matches": 1}

@@ -111,12 +111,12 @@ class TestDepthHops:
 
     def test_depth_at_least_farthest_destination(self, topo300):
         net = Network(topo300)
-        tree = net.multicast(
+        tree = net.disseminate(
             __import__("repro.network.messages", fromlist=["MessageCategory"])
             .MessageCategory.QUERY_FORWARD,
             0,
             [100, 200, 299],
-        )
+        ).tree
         assert tree.height() >= max(
             net.router.hops(0, d) for d in (100, 200, 299)
         ) - 0  # tree paths are exactly the unicast paths here

@@ -22,8 +22,6 @@ from repro.persistence import (
     queries_to_dict,
     result_from_dict,
     save_json,
-    telemetry_from_dict,
-    telemetry_to_dict,
     topology_from_dict,
     topology_to_dict,
 )
@@ -95,45 +93,6 @@ class TestResultRoundTrip:
         assert [r.as_dict() for r in restored.rows] == [
             r.as_dict() for r in result.rows
         ]
-
-
-class TestTelemetryRoundTrip:
-    def _records(self) -> list[dict]:
-        config = ExperimentConfig(
-            name="rt-tel",
-            title="telemetry round trip",
-            network_sizes=(100,),
-            query_workloads=(
-                QueryWorkload(dimensions=3, range_sizes="exponential"),
-            ),
-            query_count=3,
-            trials=1,
-        )
-        return run_experiment(config, seed=0, telemetry=True).telemetry
-
-    def test_round_trip(self, tmp_path):
-        records = self._records()
-        path = save_json(telemetry_to_dict(records), tmp_path / "tel.json")
-        restored = telemetry_from_dict(load_json(path))
-        assert restored == records
-
-    def test_schema_carried_and_checked(self):
-        payload = telemetry_to_dict([])
-        assert payload["schema"] == "telemetry/2"
-        payload["schema"] = "telemetry/99"
-        with pytest.raises(ValidationError):
-            telemetry_from_dict(payload)
-
-    def test_v1_documents_still_accepted(self):
-        assert telemetry_from_dict({"schema": "telemetry/1", "records": []}) == []
-
-    def test_records_must_be_a_list(self):
-        with pytest.raises(ValidationError):
-            telemetry_from_dict({"schema": "telemetry/1", "records": "nope"})
-
-    def test_malformed_record_rejected(self):
-        with pytest.raises(ValidationError):
-            telemetry_to_dict([{"system": "pool"}])  # missing "kind"
 
 
 class TestFiles:

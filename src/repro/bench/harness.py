@@ -391,9 +391,7 @@ def _run_cell_systems(
         if telemetry and config.flight_recorder:
             # Same placement rule; one ring per system so packet ids are
             # a per-system sequence (the replay CLI's key).
-            facade.flight_recorder = FlightRecorder(
-                config.flight_recorder_capacity
-            )
+            facade.flight_recorder = FlightRecorder()
         reliability = _make_reliability(config, seed, size, trial)
         if reliability is not None:
             # Same placement rule as the recorder: the layer must be on

@@ -73,10 +73,10 @@ class ExperimentConfig:
     shards: int = 1
     shard_workers: str = "process"
     # Flight recorder: capture a bounded per-hop event ring per system
-    # (exported into telemetry records).  Off by default so captures stay
-    # byte-identical to runs predating the recorder.
+    # (``obs.recorder.DEFAULT_CAPACITY`` events, exported into telemetry
+    # records).  Off by default so captures stay byte-identical to runs
+    # predating the recorder.
     flight_recorder: bool = False
-    flight_recorder_capacity: int = 4096
 
     def __post_init__(self) -> None:
         if not self.network_sizes:
@@ -107,11 +107,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"{self.name}: shard_workers must be 'inline' or 'process', "
                 f"got {self.shard_workers!r}"
-            )
-        if self.flight_recorder_capacity < 1:
-            raise ConfigurationError(
-                f"{self.name}: flight_recorder_capacity must be >= 1, got "
-                f"{self.flight_recorder_capacity}"
             )
 
     def scaled(self, factor: float) -> "ExperimentConfig":

@@ -193,9 +193,9 @@ def profile_span_dicts(
 def profile_records(records: Iterable[Mapping[str, Any]]) -> list[ProfileEntry]:
     """Profile every record of a capture into one merged entry list.
 
-    Records that already carry a ``profile`` block (``telemetry/2``) and
-    records that only carry raw ``spans`` (``telemetry/1``) fold to the
-    same entries — the block is just the precomputed fold.
+    Folds each record's raw ``spans`` trees; the ``profile`` block a
+    ``telemetry/2`` record carries is the same fold, precomputed, so the
+    entries match it.
     """
     costs: list[SpanCost] = []
     for record in records:

@@ -4,8 +4,8 @@ A *chaos scenario* is a :class:`~repro.network.reliability.FaultPlan`
 generated from a seed: node deaths and link-degradation windows placed at
 derived-RNG transmission ticks, so the same ``(seed, spec)`` pair always
 produces the same mid-run faults — byte-identical serve runs under chaos
-are the whole point (the CI smoke job runs every scenario twice and
-``cmp``\\ s the artifacts).
+are the whole point (``tests/integration/test_determinism.py`` runs a
+chaos scenario twice and compares the artifacts byte for byte).
 
 Placement draws come from ``derive(seed, "serve-chaos")``, a stream
 disjoint from topology, workload and loss streams, so enabling chaos
@@ -196,5 +196,5 @@ def _main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
+if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(_main())

@@ -12,8 +12,8 @@ Run as a module to normalize a telemetry export for comparison::
     python -m repro.shard.merge sharded.jsonl merged.jsonl
 
 The output of a ``--shards K`` export, after merging, is byte-identical
-to a ``--shards 1`` export of the same seed (CI asserts this with
-``cmp``).
+to a ``--shards 1`` export of the same seed
+(``tests/integration/test_determinism.py`` asserts this).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.protocol import fold_reply_tree
 from repro.events.event import Event
 from repro.routing.multicast import MulticastTree
 

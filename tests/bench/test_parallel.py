@@ -143,8 +143,10 @@ class TestLossyDeterminism:
         )
 
     def test_lossy_telemetry_identical_across_jobs(self):
-        config = _small_config(loss_rate=0.25, network_sizes=(100,), trials=1)
+        # Two trials, so jobs=2 really merges records from two workers.
+        config = _small_config(loss_rate=0.25, network_sizes=(100,))
         serial = run_experiment(config, seed=11, jobs=1, telemetry=True)
         parallel = run_experiment(config, seed=11, jobs=2, telemetry=True)
+        assert {record["trial"] for record in serial.telemetry} == {0, 1}
         assert serial.telemetry == parallel.telemetry
         assert all("reliability" in record for record in serial.telemetry)

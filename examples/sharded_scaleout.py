@@ -18,8 +18,8 @@ The contract demonstrated here:
    accounting: exchange rounds and boundary messages.
 3. On a full harness cell at scale, the sharded engine beats the
    monolithic loop while producing the *same result rows* — run
-   ``python -m repro.bench.perf --scale-demo`` for the 10^4-node
-   version recorded in results/BENCH_scale.json.
+   ``python -m repro.bench.scale_demo`` for the 10^4-node version
+   recorded in results/BENCH_scale_demo.json.
 
 Run:  python examples/sharded_scaleout.py
 """

@@ -12,11 +12,8 @@ from the root down), then reports which subtree's **self** cost grew:
 work units always, wall-clock seconds when both captures carry timed
 spans.  Exit status: ``0`` when nothing regressed (a capture diffed
 against itself is empty), ``1`` when at least one subtree exceeded the
-threshold, ``2`` on usage errors.
-
-The machine-readable verdict (``--json``) is what
-``python -m repro.bench.perf --check`` attaches to a perf-tripwire
-failure, so CI names the guilty phase instead of just the slow cell.
+threshold, ``2`` on usage errors.  A subtree only the candidate has
+regresses from zero once its self work reaches ``MIN_WU_DELTA``.
 """
 
 from __future__ import annotations
@@ -141,11 +138,12 @@ def diff_records(
     for key, base_record, cand_record in pairs:
         base_costs = _subtree_costs(base_record)
         cand_costs = _subtree_costs(cand_record)
-        for path in sorted(base_costs):
-            cand_bucket = cand_costs.get(path)
-            if cand_bucket is None:
-                continue
-            base_bucket = base_costs[path]
+        for path in sorted(cand_costs):
+            cand_bucket = cand_costs[path]
+            # A subtree that only the candidate has grew from nothing.
+            base_bucket = base_costs.get(
+                path, {"self_wu": 0, "self_seconds": None, "phase": cand_bucket["phase"]}
+            )
             found = _compare(
                 "self_wu",
                 float(base_bucket["self_wu"]),

@@ -86,6 +86,32 @@ class TestDiffRecords:
             r["path"] != "range-query/fanout" for r in verdict["regressions"]
         )
 
+    def test_subtree_only_in_the_candidate_regresses_from_zero(self):
+        def with_retry(retry_wu):
+            record = _record()
+            root = record["spans"][0]
+            root["messages"] += retry_wu
+            root["children"].append(
+                {
+                    "name": "retry",
+                    "phase": "query",
+                    "system": "pool",
+                    "messages": retry_wu,
+                    "children": [],
+                }
+            )
+            return record
+
+        verdict = diff_records([_record()], [with_retry(500)])
+        assert verdict["clean"] is False
+        [guilty] = verdict["regressions"]
+        assert guilty["path"] == "range-query/retry"
+        assert (guilty["baseline"], guilty["candidate"]) == (0, 500)
+        assert guilty["ratio"] is None
+        assert "range-query/retry (self_wu 0.0 -> 500.0)" in render_verdict(verdict)
+        # Below MIN_WU_DELTA a new subtree is noise, like any small delta.
+        assert diff_records([_record()], [with_retry(3)])["clean"] is True
+
     def test_record_set_mismatch_is_not_clean(self):
         verdict = diff_records([_record("pool"), _record("dim")], [_record("pool")])
         assert verdict["clean"] is False

@@ -172,20 +172,16 @@ class _Execution:
         holders_events: dict[int, list[Event]],
     ) -> None:
         sim = self.simulator
-        builder = TreeBuilder(sim.router, splitter, recorder=self.recorder)
+        builder = TreeBuilder(sim.router, splitter)
         builder.add_destinations(destinations)
         tree = builder.build()
         if self.recorder is not None:
-            # One planned-dissemination span per Pool: the event-driven
-            # run charges exactly one forward and one reply per tree edge
-            # plus the sink<->splitter legs, so the cost is known at
-            # launch (tests assert hop-for-hop agreement with the
-            # synchronous accounting).
+            # One launch marker per Pool.  Its messages are charged
+            # later, as events fire, so they count toward the enclosing
+            # ``distributed-query`` span rather than this instant.
             self.recorder.record(
                 "pool-dissemination",
                 phase="simulate",
-                messages=2 * (len(sim.router.path(self.sink, splitter)) - 1)
-                + 2 * len(tree.edges),
                 nodes=tree.nodes(),
                 splitter=splitter,
                 destinations=len(destinations),
@@ -342,8 +338,9 @@ def run_query_on_simulator(
     The simulator must share the topology the system was built on.  The
     run's costs come out of ``simulator.stats`` (reset here so the counts
     are exactly this query's).  With ``recorder`` given, the whole run is
-    wrapped in a ``distributed-query`` span with one nested
-    ``pool-dissemination`` span per Pool launched.
+    wrapped in a ``distributed-query`` span charged off
+    ``simulator.stats``, with one nested ``pool-dissemination`` leaf per
+    Pool launched.
     """
     if query.dimensions != system.dimensions:
         raise DimensionMismatchError(system.dimensions, query.dimensions, "query")
@@ -353,13 +350,11 @@ def run_query_on_simulator(
         )
     simulator.stats.reset()
     execution = _Execution(system, simulator, sink, query, recorder)
-    with open_span(recorder, "distributed-query", phase="simulate", sink=sink) as root:
+    with open_span(
+        recorder, "distributed-query", ledger=simulator.stats, phase="simulate", sink=sink
+    ) as root:
         execution.start()
         simulator.run()
-        root.add_messages(
-            simulator.stats.count(MessageCategory.QUERY_FORWARD)
-            + simulator.stats.count(MessageCategory.QUERY_REPLY)
-        )
         root.annotate(pools_visited=execution.pools_visited)
     if execution.outstanding_pools:
         raise QueryError(

@@ -930,24 +930,23 @@ class PoolSystem:
         unanswered.
 
         Span tree per Pool (Section 3.2.3): ``pool-fanout`` wrapping
-        ``sink-to-splitter`` (the unicast leg), ``cell-fanout`` (recorded
-        by the tree builder) and ``reply-aggregation`` (the replies
-        retracing the tree, then splitter → sink).  On lossless links the
-        message totals mirror the ledger exactly.  Under a reliability
-        layer they can differ (the ledger also charges retransmissions,
-        and unreached nodes send no reply), a ``delivery-failure`` event
-        span marks an unreachable splitter, and ``reply-aggregation``
-        gains an ``answered`` attribute.
+        ``sink-to-splitter`` (the unicast leg), ``cell-fanout`` (opened by
+        :meth:`Network.disseminate`) and ``reply-aggregation`` (the
+        replies retracing the tree, then splitter → sink).  Every span
+        reads its messages off the ledger.  Under a reliability layer a
+        ``delivery-failure`` event span marks an unreachable splitter,
+        and ``reply-aggregation`` gains an ``answered`` attribute.
         """
         tel = self.network.telemetry
+        stats = self.network.stats
         rel = self.network.reliability
         pool = leg_plan.pool
         destinations = list(leg_plan.destinations)
-        with open_span(tel, "pool-fanout", phase="forward", pool=pool) as pool_span:
+        with open_span(tel, "pool-fanout", ledger=stats, phase="forward", pool=pool) as pool_span:
             if self.route_via_splitter:
                 splitter = leg_plan.splitter
                 with open_span(
-                    tel, "sink-to-splitter", phase="forward", pool=pool
+                    tel, "sink-to-splitter", ledger=stats, phase="forward", pool=pool
                 ) as leg:
                     try:
                         path = self.network.unicast(
@@ -955,7 +954,6 @@ class PoolSystem:
                         )
                     except UnreachableError as err:
                         hops = max(len(err.partial_path) - 1, 0)
-                        leg.add_messages(hops)
                         leg.add_nodes(err.partial_path)
                         if tel is not None:
                             tel.record(
@@ -971,7 +969,6 @@ class PoolSystem:
                             depth_hops=hops,
                             answered=frozenset(),
                         )
-                    leg.add_messages(len(path) - 1)
                     leg.add_nodes(path)
                 sink_hops = len(path) - 1
                 root = splitter
@@ -983,15 +980,15 @@ class PoolSystem:
                 MessageCategory.QUERY_FORWARD, root, destinations
             )
             tree = delivery.tree
-            with open_span(tel, "reply-aggregation", phase="reply", pool=pool) as reply:
+            with open_span(
+                tel, "reply-aggregation", ledger=stats, phase="reply", pool=pool
+            ) as reply:
                 # Aggregated replies: back down the tree, then splitter -> sink.
-                answered, reply_messages = self.network.collect_up_tree(
+                answered, _ = self.network.collect_up_tree(
                     MessageCategory.QUERY_REPLY, delivery
                 )
                 if rel is None:
-                    self.network.stats.record(
-                        MessageCategory.QUERY_REPLY, sink_hops
-                    )
+                    stats.record(MessageCategory.QUERY_REPLY, sink_hops)
                 else:
                     try:
                         self.network.send_along(
@@ -1000,10 +997,8 @@ class PoolSystem:
                     except UnreachableError:
                         answered = frozenset()
                     reply.annotate(answered=len(answered))
-                reply.add_messages(reply_messages + sink_hops)
                 # Lazy, so only a real span pays for listing the tree's nodes.
                 reply.add_nodes(chain((tree.root,), chain.from_iterable(tree.edges)))
-            pool_span.add_messages(2 * (sink_hops + delivery.attempted_edges))
             pool_span.add_nodes(destinations)
         return PoolLegExecution(
             pool=pool,

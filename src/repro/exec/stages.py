@@ -120,16 +120,17 @@ def run_staged(
 
     This is the body of every system's ``query()`` compatibility wrapper:
     the dimension check happens *before* the span opens (as the
-    monolithic implementations did), and the span's message total is the
-    result's ``total_cost``.  With telemetry off the span is the shared
-    no-op, so the body is the same either way.
+    monolithic implementations did), and the span's message total is
+    what the system's ledger charged for the query.  With telemetry off
+    the span is the shared no-op, so the body is the same either way.
     """
     check_query_dimensions(system.dimensions, query)
-    tel = system.network.telemetry
-    with open_span(tel, "query", phase="query", sink=sink) as span:
+    network = system.network
+    with open_span(
+        network.telemetry, "query", ledger=network.stats, phase="query", sink=sink
+    ) as span:
         plan = system.plan_query(sink, query)
         result = system.fold_replies(plan, system.execute_plan(plan))
-        span.add_messages(result.total_cost)
         span.add_nodes(result.visited_nodes)
         span.annotate(**system.query_span_attrs(result))
         return result

@@ -23,6 +23,7 @@ a *derived* deployment, leaving siblings routing over the healthy field.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence, TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
@@ -35,6 +36,7 @@ from repro.network.topology import Topology
 from repro.routing.gpsr import GPSRRouter
 from repro.routing.multicast import TreeBuilder, TreeDelivery
 from repro.routing.planarization import PlanarizationKind
+from repro.telemetry.spans import open_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import FlightRecorder
@@ -259,30 +261,44 @@ class Network:
         With one, edges are attempted in deterministic BFS order (parents
         before children, siblings sorted); an edge whose ARQ budget is
         exhausted prunes its subtree — a branch that never heard the
-        query cannot relay it.
+        query cannot relay it.  Building and charging run inside a
+        ``cell-fanout`` span, the dissemination leg of Section 3.2.3.
         """
-        builder = TreeBuilder(self.router, src, recorder=self.telemetry)
-        builder.add_destinations(list(destinations))
-        tree = builder.build()
-        rel = self.reliability
-        if rel is None:
-            self.stats.record(category, tree.forward_cost)
-            return TreeDelivery(
-                tree=tree,
-                reached=frozenset(tree.nodes()),
-                attempted_edges=tree.forward_cost,
-            )
-        children = tree.children()
-        reached = {src}
-        attempted = 0
-        frontier = [src]
-        while frontier:
-            parent = frontier.pop(0)
-            for child in children.get(parent, ()):
-                attempted += 1
-                if rel.deliver_hop(category, parent, child, self.stats):
-                    reached.add(child)
-                    frontier.append(child)
+        tel = self.telemetry
+        with open_span(
+            tel, "cell-fanout", ledger=self.stats, phase="forward", root=src
+        ) as span:
+            builder = TreeBuilder(self.router, src)
+            builder.add_destinations(list(destinations))
+            tree = builder.build()
+            span.annotate(destinations=len(tree.destinations))
+            # Lazy, so only a real span pays for listing the tree's nodes.
+            span.add_nodes(chain((tree.root,), chain.from_iterable(tree.edges)))
+            plan = getattr(self.router, "plan", None) if tel is not None else None
+            if plan is not None:
+                # Sharded runs tag the span with the tile that owns the tree
+                # root; the telemetry merge strips the tag, restoring the
+                # byte-identical unsharded record.
+                span.annotate(shard_id=plan.owner_of_position(*self.router.topology.position(src)))
+            rel = self.reliability
+            if rel is None:
+                self.stats.record(category, tree.forward_cost)
+                return TreeDelivery(
+                    tree=tree,
+                    reached=frozenset(tree.nodes()),
+                    attempted_edges=tree.forward_cost,
+                )
+            children = tree.children()
+            reached = {src}
+            attempted = 0
+            frontier = [src]
+            while frontier:
+                parent = frontier.pop(0)
+                for child in children.get(parent, ()):
+                    attempted += 1
+                    if rel.deliver_hop(category, parent, child, self.stats):
+                        reached.add(child)
+                        frontier.append(child)
         return TreeDelivery(
             tree=tree, reached=frozenset(reached), attempted_edges=attempted
         )

@@ -40,6 +40,17 @@ __all__ = [
 ]
 
 
+def _width(span: Mapping[str, Any]) -> int:
+    """Timeline ticks a span takes, the one geometry both documents use.
+
+    Its work units, but at least one tick (so zero-cost spans stay
+    visible) and at least its children's widths (so children packed
+    sequentially from the span's start always fit inside it).
+    """
+    children = sum(_width(child) for child in span.get("children", ()))
+    return max(1, int(span.get("messages", 0)), children)
+
+
 def _span_events(
     span: Mapping[str, Any],
     *,
@@ -50,13 +61,11 @@ def _span_events(
 ) -> tuple[list[dict[str, Any]], int]:
     """Lay one span tree out as Chrome ``X`` events; returns its width.
 
-    The span occupies ``[start, start + total_wu)`` (at least one tick so
-    zero-cost spans stay visible); children are packed sequentially from
-    ``start``, which always fits because ``total_wu`` is monotone over
-    the children's totals.
+    The span occupies ``[start, start + _width(span))`` and its children
+    are packed sequentially from ``start``.
     """
     fold = fold_span_tree(span, default_system=system)
-    width = max(1, fold[0].total_wu)
+    width = _width(span)
     args: dict[str, Any] = {
         "self_wu": fold[0].self_wu,
         "total_wu": fold[0].total_wu,
@@ -144,21 +153,17 @@ def _speedscope_walk(
     span: Mapping[str, Any],
     *,
     start: int,
-    system: str,
     frames: dict[str, int],
     events: list[dict[str, Any]],
 ) -> int:
     """Emit open/close events for one span tree; returns its width."""
-    fold = fold_span_tree(span, default_system=system)
-    width = max(1, fold[0].total_wu)
+    width = _width(span)
     label = f"{span.get('phase', '')}:{span.get('name', '')}"
     frame = frames.setdefault(label, len(frames))
     events.append({"type": "O", "frame": frame, "at": start})
     cursor = start
     for child in span.get("children", ()):
-        cursor += _speedscope_walk(
-            child, start=cursor, system=system, frames=frames, events=events
-        )
+        cursor += _speedscope_walk(child, start=cursor, frames=frames, events=events)
     events.append({"type": "C", "frame": frame, "at": start + width})
     return width
 
@@ -172,9 +177,7 @@ def speedscope_document(records: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         cursor = 0
         system = str(record.get("system", ""))
         for span in record.get("spans", ()):
-            cursor += _speedscope_walk(
-                span, start=cursor, system=system, frames=frames, events=events
-            )
+            cursor += _speedscope_walk(span, start=cursor, frames=frames, events=events)
         if not events:
             continue
         name = (

@@ -6,10 +6,11 @@ kind across a capture slice: how often it ran, and its *self* and
 
 * **work units** — the one-hop message transmissions charged to the
   span, the deterministic cost currency every byte-identity guarantee
-  covers.  ``total_wu`` is inclusive (the span plus its descendants,
-  monotone by construction), ``self_wu`` is the span's charge net of its
-  direct children (instrumented layers often charge a parent the
-  aggregate its children also itemize, so self time is the residual).
+  covers.  A span's ``messages`` is the ledger's charge while it was
+  open, so it already includes its descendants: ``total_wu`` is that
+  count and ``self_wu`` is the part no direct child itemizes.  A capture
+  whose children charge more than their parent did not come from the
+  ledger, and folding it raises :class:`~repro.exceptions.ValidationError`.
 * **seconds** — wall-clock, present only when the capture was taken with
   timings included (``Span.as_dict(include_timings=True)``).  Kept in
   separate, clearly-named fields so deterministic and wall-clock views
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
+
+from repro.exceptions import ValidationError
 
 __all__ = [
     "ProfileEntry",
@@ -85,16 +88,16 @@ def fold_span_tree(
 ) -> list[SpanCost]:
     """Walk one span dict tree into per-occurrence costs, depth-first.
 
-    ``total_wu`` is ``max(own messages, sum of child totals)`` — monotone
-    even when a parent under-reports (e.g. a grouping span that charges
-    nothing itself) — and ``self_wu`` is ``max(0, own messages - sum of
-    direct child messages)``, the residual not already itemized below.
-    The same rule folds ``seconds`` when the capture carries them.
+    ``total_wu`` is the span's own ``messages`` (inclusive by
+    construction) and ``self_wu`` is ``messages - sum of direct child
+    messages``; a span whose direct children charge more than it raises
+    :class:`~repro.exceptions.ValidationError`.  ``seconds``, when the
+    capture carries them, fold the same way but clamp at zero, because
+    rounded wall-clock windows can overlap by a tick.
     """
     children: Sequence[Mapping[str, Any]] = span.get("children", ())
     path = prefix + (str(span.get("name", "")),)
     costs: list[SpanCost] = []
-    child_total_wu = 0
     child_messages = 0
     child_total_seconds = 0.0
     child_seconds = 0.0
@@ -105,13 +108,17 @@ def fold_span_tree(
         )
         costs.extend(child_costs)
         top = child_costs[0]  # first entry of a fold is the subtree root
-        child_total_wu += top.total_wu
-        child_messages += int(child.get("messages", 0))
+        child_messages += top.total_wu
         if top.total_seconds is not None:
             child_total_seconds += top.total_seconds
             timed_children += 1
         child_seconds += float(child.get("seconds", 0.0))
     messages = int(span.get("messages", 0))
+    if child_messages > messages:
+        raise ValidationError(
+            f"span {'/'.join(path)!r} charges {messages} messages but its "
+            f"children charge {child_messages}"
+        )
     seconds = span.get("seconds")
     self_seconds: float | None = None
     total_seconds: float | None = None
@@ -129,8 +136,8 @@ def fold_span_tree(
         phase=str(span.get("phase", "")),
         name=str(span.get("name", "")),
         path=path,
-        self_wu=max(0, messages - child_messages),
-        total_wu=max(messages, child_total_wu),
+        self_wu=messages - child_messages,
+        total_wu=messages,
         self_seconds=self_seconds,
         total_seconds=total_seconds,
     )

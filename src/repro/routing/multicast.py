@@ -16,12 +16,8 @@ is apples-to-apples (see DESIGN.md §5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.routing.gpsr import GPSRRouter
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.spans import SpanRecorder
 
 __all__ = ["MulticastTree", "TreeDelivery", "TreeBuilder"]
 
@@ -143,16 +139,9 @@ class TreeBuilder:
         tree = builder.build()
     """
 
-    def __init__(
-        self,
-        router: GPSRRouter,
-        root: int,
-        *,
-        recorder: "SpanRecorder | None" = None,
-    ) -> None:
+    def __init__(self, router: GPSRRouter, root: int) -> None:
         self.router = router
         self.root = root
-        self.recorder = recorder
         self._edges: set[tuple[int, int]] = set()
         self._destinations: list[int] = []
         self._reached: set[int] = {root}
@@ -200,33 +189,13 @@ class TreeBuilder:
     def build(self) -> MulticastTree:
         """Freeze the current tree.
 
-        With a telemetry recorder attached, records one ``cell-fanout``
-        span under whatever span is currently open (the per-Pool span
-        during query execution): the dissemination leg of Section 3.2.3,
-        one message per tree edge.
+        Pure planning: nothing is charged or recorded here.  The caller
+        charges the tree when it sends the query down it
+        (:meth:`repro.network.network.Network.disseminate`, which also
+        opens the ``cell-fanout`` span).
         """
-        tree = MulticastTree(
+        return MulticastTree(
             root=self.root,
             destinations=tuple(self._destinations),
             edges=frozenset(self._edges),
         )
-        if self.recorder is not None:
-            attrs: dict[str, int] = {
-                "root": self.root,
-                "destinations": len(tree.destinations),
-            }
-            plan = getattr(self.router, "plan", None)
-            if plan is not None:
-                # Sharded runs tag the span with the tile that owns the
-                # tree root; the telemetry merge strips the tag, restoring
-                # the byte-identical unsharded record.
-                root_x, root_y = self.router.topology.position(self.root)
-                attrs["shard_id"] = plan.owner_of_position(root_x, root_y)
-            self.recorder.record(
-                "cell-fanout",
-                phase="forward",
-                messages=tree.forward_cost,
-                nodes=tree.nodes(),
-                **attrs,
-            )
-        return tree

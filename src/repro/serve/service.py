@@ -347,8 +347,10 @@ class QueryService:
         the batch, at least the batch's start time.  It drives the
         admitted loop's server occupancy; the legacy loop ignores it.
         """
-        tel = self.system.network.telemetry
-        with open_span(tel, "serve-batch", phase="serve", size=len(batch)):
+        network = self.system.network
+        with open_span(
+            network.telemetry, "serve-batch", ledger=network.stats, phase="serve", size=len(batch)
+        ):
             done_at = self.clock.now
             # Cache lookups come before planning: a hit skips resolving
             # entirely (no resolve telemetry, zero messages).
@@ -568,7 +570,6 @@ class QueryService:
             tel.record(
                 "serve-request",
                 phase="serve",
-                messages=messages,
                 request=request.request_id,
                 sink=request.sink,
                 outcome=outcome,

@@ -6,9 +6,11 @@ Three cooperating pieces, all off by default and free when disabled:
   :class:`SpanRecorder` attached to a :class:`~repro.network.network.Network`
   facade collects nested spans (sink → splitter → cell fan-out →
   aggregated replies) carrying phase, system label, message cost, node
-  set and wall-clock.  Instrumented code opens spans through
-  :func:`open_span`, which yields a shared no-op span when no recorder
-  is attached.
+  set and wall-clock.  A span's message cost is read off the
+  :class:`~repro.network.radio.MessageStats` ledger it was opened with
+  (the charges made while it was open), never counted by hand.
+  Instrumented code opens spans through :func:`open_span`, which yields
+  a shared no-op span when no recorder is attached.
 * :mod:`repro.telemetry.metrics` — a metrics registry (counters, gauges,
   histograms) layered on the :class:`~repro.network.radio.MessageStats`
   scope tree, with derived hotspot statistics (max/mean load, Gini

@@ -2,12 +2,17 @@
 
 A :class:`Span` is one phase of one operation — the sink-to-splitter leg
 of a query, a Pool's cell fan-out, the aggregated reply climb — carrying
-the phase name, the owning system's label, the message cost charged
-inside it, the node ids it touched and its wall-clock window.  Spans
+the phase name, the owning system's label, the messages charged while it
+was open, the node ids it touched and its wall-clock window.  Spans
 nest: a :class:`SpanRecorder` keeps an open-span stack, so instrumented
-layers (``core/system.py``, ``core/resolve.py``, ``routing/multicast.py``,
-``core/protocol.py``, the baselines) produce one tree per operation
-without threading parent handles around.
+layers (``core/system.py``, ``core/resolve.py``, ``network/network.py``,
+``core/protocol.py``, ``serve/service.py``) produce one tree per
+operation without threading parent handles around.
+
+A span's ``messages`` is read off the ledger it was opened with (the
+change in ``ledger.total`` while it was open), never kept by hand, so it
+includes retransmissions and ACKs and always covers its children.
+Leaves recorded with :meth:`SpanRecorder.record` are instants and carry 0.
 
 Telemetry is opt-in: a facade without a recorder attached
 (``Network.telemetry is None``) never allocates a span.  Instrumented
@@ -26,7 +31,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, ContextManager, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.radio import MessageStats
 
 __all__ = ["Span", "SpanRecorder", "open_span"]
 
@@ -51,10 +59,6 @@ class Span:
         if self.ended_at <= self.started_at:
             return 0.0
         return self.ended_at - self.started_at
-
-    def add_messages(self, count: int) -> None:
-        """Charge ``count`` one-hop transmissions to this span."""
-        self.messages += count
 
     def add_nodes(self, nodes: Iterable[int]) -> None:
         """Mark node ids as touched by this span."""
@@ -137,11 +141,13 @@ class SpanRecorder:
         self,
         name: str,
         *,
+        ledger: "MessageStats",
         phase: str,
         system: str | None = None,
         **attrs: Any,
     ) -> Iterator[Span]:
-        """Open a nested span for the duration of the ``with`` block."""
+        """Open a nested span charged with what ``ledger`` records inside it."""
+        before = ledger.total
         opened = Span(
             name=name,
             phase=phase,
@@ -157,6 +163,7 @@ class SpanRecorder:
         try:
             yield opened
         finally:
+            opened.messages = ledger.total - before
             opened.ended_at = self._clock()
             self._stack.pop()
 
@@ -165,7 +172,6 @@ class SpanRecorder:
         name: str,
         *,
         phase: str,
-        messages: int = 0,
         nodes: Iterable[int] = (),
         system: str | None = None,
         **attrs: Any,
@@ -173,15 +179,15 @@ class SpanRecorder:
         """Record an already-finished leaf span under the current parent.
 
         For instrumentation points that know their outcome upfront (the
-        sink-side resolve step, a frozen multicast tree) and have no
-        interior structure to nest.
+        sink-side resolve step, a shed request) and have no interior
+        structure to nest.  A leaf is an instant, so it charges no
+        messages.
         """
         now = self._clock()
         leaf = Span(
             name=name,
             phase=phase,
             system=system if system is not None else self.label,
-            messages=messages,
             nodes=set(nodes),
             attrs=dict(attrs),
             started_at=now,
@@ -268,9 +274,6 @@ class _NoopSpan:
     def __exit__(self, *exc_info: object) -> None:
         return None
 
-    def add_messages(self, count: int) -> None:
-        pass
-
     def add_nodes(self, nodes: Iterable[int]) -> None:
         pass
 
@@ -282,14 +285,15 @@ _NOOP_SPAN = _NoopSpan()
 
 
 def open_span(
-    recorder: SpanRecorder | None, name: str, *, phase: str, **attrs: Any
+    recorder: SpanRecorder | None, name: str, *, ledger: "MessageStats", phase: str, **attrs: Any
 ) -> ContextManager[Span] | _NoopSpan:
-    """``recorder.span(name, ...)``, or the shared no-op span without one.
+    """``recorder.span(name, ledger=..., ...)``, or the shared no-op span.
 
     Lets an instrumented operation keep one body: it always writes
-    ``with open_span(tel, ...) as span:`` and charges the span, and the
-    charges cost a method call each when telemetry is off.
+    ``with open_span(tel, ..., ledger=stats) as span:``, and with
+    telemetry off the ledger is never read and the span's methods cost a
+    call each.
     """
     if recorder is None:
         return _NOOP_SPAN
-    return recorder.span(name, phase=phase, **attrs)
+    return recorder.span(name, ledger=ledger, phase=phase, **attrs)

@@ -35,6 +35,50 @@ def _record(system="pool", trial=0, messages=10):
     }
 
 
+def _pool_query_record():
+    """A Pool query as captured: a zero-cost resolve leaf before the fan-out."""
+    record = _record()
+    record["spans"] = [
+        {
+            "name": "query",
+            "phase": "query",
+            "system": "pool",
+            "messages": 10,
+            "children": [
+                {"name": "resolve", "phase": "resolve", "messages": 0},
+                {"name": "pool-fanout", "phase": "forward", "messages": 10},
+            ],
+        }
+    ]
+    return record
+
+
+class TestZeroCostLeavesNest:
+    def test_chrome_parent_covers_every_child(self):
+        doc = chrome_trace([_pool_query_record()])
+        spans = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
+        query, resolve, fanout = (spans[n] for n in ("query", "resolve", "pool-fanout"))
+        assert (resolve["ts"], resolve["dur"]) == (0, 1)
+        assert (fanout["ts"], fanout["dur"]) == (1, 10)
+        assert (query["ts"], query["dur"]) == (0, 11)
+        assert query["args"]["total_wu"] == 10  # work units stay the ledger's
+
+    def test_speedscope_events_in_time_order_and_nested(self):
+        doc = speedscope_document([_pool_query_record()])
+        (profile,) = doc["profiles"]
+        events = profile["events"]
+        ats = [e["at"] for e in events]
+        assert ats == sorted(ats)
+        stack = []
+        for event in events:
+            if event["type"] == "O":
+                stack.append(event["frame"])
+            else:
+                assert stack.pop() == event["frame"]
+        assert not stack
+        assert profile["endValue"] == 11
+
+
 class TestChromeTrace:
     def test_events_are_complete_events_in_work_units(self):
         doc = chrome_trace([_record()])

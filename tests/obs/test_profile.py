@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.exceptions import ValidationError
 from repro.obs.profile import fold_span_tree, profile_records, profile_span_dicts
 
 
@@ -26,8 +29,8 @@ class TestFoldSpanTree:
         assert cost.self_seconds is None and cost.total_seconds is None
 
     def test_self_is_residual_of_itemizing_children(self):
-        # Instrumented layers charge the parent the aggregate its
-        # children also itemize: self is the residual, not the sum.
+        # A span's count includes what its children charged: self is
+        # the residual, not the sum.
         tree = _span("query", 10, [_span("fanout", 6), _span("reply", 3)])
         costs = fold_span_tree(tree)
         root = costs[0]
@@ -36,13 +39,20 @@ class TestFoldSpanTree:
         assert [c.name for c in costs] == ["query", "fanout", "reply"]
         assert costs[1].path == ("query", "fanout")
 
-    def test_total_is_monotone_over_underreporting_parent(self):
-        # A grouping span that charges nothing itself still spans its
-        # children on the flame timeline.
-        tree = _span("group", 0, [_span("a", 4), _span("b", 5)])
+    def test_children_charging_more_than_the_parent_are_rejected(self):
+        # Spans read their count off the ledger, so a parent covers its
+        # children; a capture where it does not is refused, not clamped.
+        tree = _span("query", 8, [_span("a", 4), _span("b", 5)])
+        with pytest.raises(ValidationError, match="'query'"):
+            fold_span_tree(tree)
+        nested = _span("query", 9, [_span("fanout", 2, [_span("leg", 3)])])
+        with pytest.raises(ValidationError, match="'query/fanout'"):
+            fold_span_tree(nested)
+
+    def test_parent_equal_to_its_children_has_no_self_cost(self):
+        tree = _span("group", 9, [_span("a", 4), _span("b", 5)])
         root = fold_span_tree(tree)[0]
-        assert root.self_wu == 0
-        assert root.total_wu == 9
+        assert (root.self_wu, root.total_wu) == (0, 9)
 
     def test_seconds_folded_with_same_rule(self):
         tree = _span(
@@ -56,7 +66,7 @@ class TestFoldSpanTree:
         assert root.total_seconds == 1.0
 
     def test_untimed_parent_inherits_timed_child_total(self):
-        tree = _span("group", 0, [_span("a", 4, seconds=0.5)])
+        tree = _span("group", 4, [_span("a", 4, seconds=0.5)])
         root = fold_span_tree(tree)[0]
         assert root.self_seconds == 0.0
         assert root.total_seconds == 0.5

@@ -6,6 +6,11 @@ produces: ``delivery-failure`` leaves for unreachable splitters and
 re-runs the same seeded experiment and compares the export byte for
 byte, so any drift in the instrumented query path fails here first.
 
+The fixture was regenerated when spans began reading their message
+count off the ledger: span ``messages`` now include the ARQ
+retransmissions and ACKs the ledger charged, so every span covers its
+children.  Only span ``messages`` and the ``profile`` rows moved.
+
 Regenerate (only when the span layout legitimately changes) with::
 
     PYTHONPATH=src python -m tests.telemetry.test_lossy_capture

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from repro.network.messages import MessageCategory
+from repro.network.radio import MessageStats
 from repro.telemetry.spans import Span, SpanRecorder, open_span
+
+FORWARD = MessageCategory.QUERY_FORWARD
 
 
 def _fixed_clock():
@@ -12,11 +16,15 @@ def _fixed_clock():
 
 class TestSpan:
     def test_accumulates_messages_and_nodes(self):
-        span = Span(name="q", phase="query")
-        span.add_messages(3)
-        span.add_messages(2)
-        span.add_nodes([1, 2])
-        span.add_nodes((2, 3))
+        ledger = MessageStats()
+        ledger.record(FORWARD, 7)  # charged before the span opens
+        rec = SpanRecorder(clock=_fixed_clock())
+        with rec.span("q", ledger=ledger, phase="query") as span:
+            ledger.record(FORWARD, 3)
+            ledger.record(MessageCategory.ACK, 2)
+            span.add_nodes([1, 2])
+            span.add_nodes((2, 3))
+        ledger.record(FORWARD, 4)  # charged after it closed
         assert span.messages == 5
         assert span.nodes == {1, 2, 3}
 
@@ -50,56 +58,70 @@ class TestSpan:
 
 class TestSpanRecorder:
     def test_context_manager_nests(self):
+        ledger = MessageStats()
         rec = SpanRecorder(label="pool", clock=_fixed_clock())
-        with rec.span("query", phase="query") as outer:
-            with rec.span("fanout", phase="forward") as inner:
-                inner.add_messages(4)
-            outer.add_messages(10)
+        with rec.span("query", ledger=ledger, phase="query"):
+            with rec.span("fanout", ledger=ledger, phase="forward"):
+                ledger.record(FORWARD, 4)
+            ledger.record(MessageCategory.QUERY_REPLY, 6)
         assert len(rec.roots) == 1
         root = rec.roots[0]
         assert root.system == "pool"  # label is the default system stamp
         assert [c.name for c in root.children] == ["fanout"]
-        assert root.messages == 10
+        # The parent's count includes what its child charged.
+        assert (root.messages, root.children[0].messages) == (10, 4)
 
     def test_record_leaf_nests_under_open_span(self):
+        ledger = MessageStats()
         rec = SpanRecorder(label="pool", clock=_fixed_clock())
-        with rec.span("query", phase="query"):
-            rec.record("resolve", phase="resolve", messages=0, pool=2)
-        assert rec.roots[0].children[0].attrs == {"pool": 2}
+        with rec.span("query", ledger=ledger, phase="query"):
+            rec.record("resolve", phase="resolve", pool=2)
+            ledger.record(FORWARD, 3)
+        (leaf,) = rec.roots[0].children
+        assert leaf.attrs == {"pool": 2}
+        assert (leaf.messages, rec.roots[0].messages) == (0, 3)
 
     def test_record_without_open_span_is_a_root(self):
         rec = SpanRecorder(clock=_fixed_clock())
-        rec.record("resolve", phase="resolve", messages=0)
+        rec.record("resolve", phase="resolve")
         assert len(rec.roots) == 1
 
     def test_stack_unwinds_on_exception(self):
+        ledger = MessageStats()
         rec = SpanRecorder(clock=_fixed_clock())
         try:
-            with rec.span("query", phase="query"):
+            with rec.span("query", ledger=ledger, phase="query"):
+                ledger.record(FORWARD, 2)
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
+        # The failed span still keeps what was charged before it raised.
+        assert rec.roots[0].messages == 2
         # Next span must open at root level, not under the dead one.
-        with rec.span("again", phase="query"):
+        with rec.span("again", ledger=ledger, phase="query"):
             pass
         assert [r.name for r in rec.roots] == ["query", "again"]
 
     def test_summary_groups_by_system_phase_name(self):
+        ledger = MessageStats()
         rec = SpanRecorder(label="pool", clock=_fixed_clock())
-        rec.record("resolve", phase="resolve", messages=0, nodes=[1])
-        rec.record("resolve", phase="resolve", messages=0, nodes=[2])
-        rec.record("fanout", phase="forward", messages=7, nodes=[1, 2])
+        rec.record("resolve", phase="resolve", nodes=[1])
+        rec.record("resolve", phase="resolve", nodes=[2])
+        with rec.span("fanout", ledger=ledger, phase="forward") as span:
+            ledger.record(FORWARD, 7)
+            span.add_nodes([1, 2])
         summary = rec.summary()
         assert [(s["phase"], s["name"], s["count"]) for s in summary] == [
             ("forward", "fanout", 1),
             ("resolve", "resolve", 2),
         ]
-        resolve = summary[1]
+        fanout, resolve = summary
+        assert fanout["messages"] == 7
         assert resolve["nodes"] == 2  # union of {1} and {2}
 
     def test_len_and_clear(self):
         rec = SpanRecorder(clock=_fixed_clock())
-        with rec.span("a", phase="p"):
+        with rec.span("a", ledger=MessageStats(), phase="p"):
             rec.record("b", phase="p")
         assert len(rec) == 2
         rec.clear()
@@ -113,20 +135,28 @@ class TestSpanRecorder:
 
 class TestOpenSpan:
     def test_without_recorder_returns_one_shared_noop(self):
-        first = open_span(None, "a", phase="p")
-        second = open_span(None, "b", phase="q", pool=1)
+        class UnreadLedger:
+            @property
+            def total(self):
+                raise AssertionError("a no-op span must not read the ledger")
+
+        ledger = UnreadLedger()
+        first = open_span(None, "a", ledger=ledger, phase="p")
+        second = open_span(None, "b", ledger=ledger, phase="q", pool=1)
         assert first is second
         assert not isinstance(first, Span)
         with first as span:
             assert span is first
-            span.add_messages(3)
             span.add_nodes([1, 2])
             span.annotate(answered=0)
 
     def test_with_recorder_opens_a_real_span(self):
+        ledger = MessageStats()
         recorder = SpanRecorder(label="pool", clock=_fixed_clock())
-        with open_span(recorder, "query", phase="query", sink=4) as span:
-            span.add_messages(2)
+        with open_span(
+            recorder, "query", ledger=ledger, phase="query", sink=4
+        ) as span:
+            ledger.record(FORWARD, 2)
             span.annotate(matches=1)
         (root,) = recorder.roots
         assert (root.name, root.messages) == ("query", 2)

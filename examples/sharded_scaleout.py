@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Shard one deployment across workers — same answers, less wall-clock.
+"""Shard one deployment across tiles — same answers, less wall-clock.
 
-A single simulated field can outgrow a single Python process long before
-it outgrows the machine.  The shard engine spatially partitions ONE
-deployment into K tiles: each worker owns the nodes inside its tile
-(plus a radio-range halo) and advances only the packets currently inside
-it; a packet that greedily forwards across a tile edge becomes a
-boundary message, delivered in the next deterministic exchange round.
+The shard engine spatially partitions ONE deployment into K tiles, all
+run in the calling process: each tile owns the nodes inside it (plus a
+radio-range halo) and advances only the packets currently inside it; a
+packet that greedily forwards across a tile edge becomes a boundary
+message, delivered in the next deterministic exchange round.
 
 The contract demonstrated here:
 
@@ -64,29 +63,29 @@ def show_equivalence() -> None:
     mono = Deployment.deploy(ROUTE_NODES, seed=7)
     pairs = pinned_pairs(ROUTE_NODES, ROUTES)
 
-    with mono.shard(SHARDS, workers="inline") as sharded:
-        plan = sharded.plan
-        print(f"field {mono.topology.field.width:.0f}x"
-              f"{mono.topology.field.height:.0f} split into "
-              f"{plan.tiles_x}x{plan.tiles_y} tiles "
-              f"(halo {plan.halo:.0f} = radio range)")
-        owner = plan.owner_of_nodes(mono.topology.positions)
-        for shard in range(plan.shards):
-            print(f"  shard {shard}: owns {int((owner == shard).sum())} "
-                  f"of {ROUTE_NODES} nodes")
+    sharded = mono.shard(SHARDS)
+    plan = sharded.plan
+    print(f"field {mono.topology.field.width:.0f}x"
+          f"{mono.topology.field.height:.0f} split into "
+          f"{plan.tiles_x}x{plan.tiles_y} tiles "
+          f"(halo {plan.halo:.0f} = radio range)")
+    owner = plan.owner_of_nodes(mono.topology.positions)
+    for shard in range(plan.shards):
+        print(f"  shard {shard}: owns {int((owner == shard).sum())} "
+              f"of {ROUTE_NODES} nodes")
 
-        reference = [route_outcome(mono.router, s, d) for s, d in pairs]
-        ours = [route_outcome(sharded.router, s, d) for s, d in pairs]
-        crossing = sum(1 for s, d in pairs if owner[s] != owner[d])
-        identical = sum(1 for a, b in zip(reference, ours) if a == b)
-        print(f"\n{ROUTES} routes ({crossing} cross a tile boundary): "
-              f"{identical}/{ROUTES} identical to the monolithic router")
-        assert identical == ROUTES, "sharded routing diverged!"
+    reference = [route_outcome(mono.router, s, d) for s, d in pairs]
+    ours = [route_outcome(sharded.router, s, d) for s, d in pairs]
+    crossing = sum(1 for s, d in pairs if owner[s] != owner[d])
+    identical = sum(1 for a, b in zip(reference, ours) if a == b)
+    print(f"\n{ROUTES} routes ({crossing} cross a tile boundary): "
+          f"{identical}/{ROUTES} identical to the monolithic router")
+    assert identical == ROUTES, "sharded routing diverged!"
 
-        engine = sharded.engine
-        print(f"engine: {engine.packets_routed} packets, "
-              f"{engine.exchange_rounds} exchange rounds, "
-              f"{engine.boundary_messages} boundary messages")
+    engine = sharded.engine
+    print(f"engine: {engine.packets_routed} packets, "
+          f"{engine.exchange_rounds} exchange rounds, "
+          f"{engine.boundary_messages} boundary messages")
 
 
 def cell_config(shards: int) -> ExperimentConfig:
@@ -107,7 +106,6 @@ def cell_config(shards: int) -> ExperimentConfig:
             ),
         ),
         shards=shards,
-        shard_workers="inline",
     )
 
 

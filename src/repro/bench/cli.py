@@ -135,18 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="K",
         help=(
-            "spatially partition each cell's deployment across K tile "
-            "workers (shard-aware engine); rows, ledgers and telemetry "
-            "are byte-identical to --shards 1 for the same seed"
-        ),
-    )
-    parser.add_argument(
-        "--shard-workers",
-        choices=("process", "inline"),
-        default="process",
-        help=(
-            "how shard tiles execute: forked worker processes (default) "
-            "or in-process states (fastest on a single core)"
+            "spatially partition each cell's deployment across K "
+            "in-process tiles (shard-aware engine); rows, ledgers and "
+            "telemetry are byte-identical to --shards 1 for the same seed"
         ),
     )
     parser.add_argument(
@@ -533,9 +524,7 @@ def main(argv: list[str] | None = None) -> int:
                 fault_plan=fault_plan,
             )
         if args.shards != 1:
-            config = replace(
-                config, shards=args.shards, shard_workers=args.shard_workers
-            )
+            config = replace(config, shards=args.shards)
         if args.flight_recorder:
             config = replace(config, flight_recorder=True)
         started = perf_counter()

@@ -323,25 +323,18 @@ def _run_cell(
         # Same topology object, sharded router: the deployment draw above
         # is untouched, so every downstream artifact (sink, events,
         # queries, paths) is byte-identical to the shards=1 run.
-        deployment = deployment.shard(
-            config.shards, workers=config.shard_workers
-        )
+        deployment = deployment.shard(config.shards)
     build_seconds = perf_counter() - build_started
-    try:
-        return _run_cell_systems(
-            config,
-            seed,
-            size,
-            trial,
-            progress,
-            telemetry=telemetry,
-            deployment=deployment,
-            build_seconds=build_seconds,
-        )
-    finally:
-        closer = getattr(deployment, "close", None)
-        if closer is not None:
-            closer()
+    return _run_cell_systems(
+        config,
+        seed,
+        size,
+        trial,
+        progress,
+        telemetry=telemetry,
+        deployment=deployment,
+        build_seconds=build_seconds,
+    )
 
 
 def _run_cell_systems(

@@ -2,7 +2,7 @@
 
 The acceptance run for the shard-aware engine: one 10⁴-node grid cell —
 more than 10× the paper's 900-node maximum — timed single-process
-(recorded as ``budget_seconds``) and with 4 inline shards, which must
+(recorded as ``budget_seconds``) and with 4 shards, which must
 finish under that budget.  The record goes to
 ``results/BENCH_scale_demo.json``.
 """
@@ -38,7 +38,6 @@ def _scale_config(size: int, shards: int) -> ExperimentConfig:
             QueryWorkload(dimensions=3, kind="exact", range_sizes="uniform", label="exact/uniform"),
         ),
         shards=shards,
-        shard_workers="inline",
     )
 
 
@@ -47,8 +46,7 @@ def run_scale_demo(size: int = 10_000, shards: int = 4) -> dict[str, Any]:
 
     The single-process time is the recorded wall-clock budget; the
     sharded run must beat it (the per-step greedy memoization in the
-    shard workers is what makes one core faster, and worker processes
-    scale it out on multi-core hosts).
+    shard tiles is what makes it faster).
     """
     started = perf_counter()
     _run_cell(_scale_config(size, 1), 0, size, 0)
@@ -59,7 +57,6 @@ def run_scale_demo(size: int = 10_000, shards: int = 4) -> dict[str, Any]:
     return {
         "size": size,
         "shards": shards,
-        "shard_workers": "inline",
         "budget_seconds": round(budget_seconds, 2),
         "seconds": round(sharded_seconds, 2),
         "under_budget": sharded_seconds < budget_seconds,
@@ -71,8 +68,8 @@ def main() -> int:
     RECORD_PATH.parent.mkdir(parents=True, exist_ok=True)
     RECORD_PATH.write_text(json.dumps(demo, indent=2, sort_keys=True) + "\n", "utf-8")
     print(
-        f"scale demo: {demo['size']} nodes, shards={demo['shards']} "
-        f"({demo['shard_workers']}): {demo['seconds']:.2f}s vs "
+        f"scale demo: {demo['size']} nodes, shards={demo['shards']}: "
+        f"{demo['seconds']:.2f}s vs "
         f"single-process budget {demo['budget_seconds']:.2f}s "
         f"({'UNDER' if demo['under_budget'] else 'OVER'} budget)"
     )

@@ -68,10 +68,8 @@ class ExperimentConfig:
     fault_plan: FaultPlan | None = None
     # Shard-aware engine: spatially partition each cell's deployment into
     # this many tiles (1 = the monolithic router).  Results are
-    # byte-identical for any value; ``shard_workers`` picks whether tiles
-    # run as forked worker processes or in-process states.
+    # byte-identical for any value.
     shards: int = 1
-    shard_workers: str = "process"
     # Flight recorder: capture a bounded per-hop event ring per system
     # (``obs.recorder.DEFAULT_CAPACITY`` events, exported into telemetry
     # records).  Off by default so captures stay byte-identical to runs
@@ -102,11 +100,6 @@ class ExperimentConfig:
         if self.shards < 1:
             raise ConfigurationError(
                 f"{self.name}: shards must be >= 1, got {self.shards}"
-            )
-        if self.shard_workers not in ("inline", "process"):
-            raise ConfigurationError(
-                f"{self.name}: shard_workers must be 'inline' or 'process', "
-                f"got {self.shard_workers!r}"
             )
 
     def scaled(self, factor: float) -> "ExperimentConfig":

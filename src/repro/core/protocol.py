@@ -5,7 +5,9 @@ forwarding trees are deterministic).  This module is the proof that the
 accounting corresponds to a real protocol: it runs the *same* query as
 asynchronous message passing —
 
-1. the sink unicasts the query to each Pool's splitter, hop by hop;
+1. the sink unicasts the query to each Pool's splitter, hop by hop
+   (skipped when the system roots its trees at the sink,
+   ``route_via_splitter=False``);
 2. the splitter disseminates it down the forwarding tree, one radio
    transmission per tree edge, children in parallel;
 3. each holder answers from local storage; a node sends its (aggregated)
@@ -26,10 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from repro.core.resolve import query_ranges_for_pool, relevant_offsets
-from repro.core.system import PoolSystem
+from repro.core.system import PoolLegPlan, PoolSystem
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.exceptions import DimensionMismatchError, QueryError
@@ -41,32 +42,7 @@ from repro.telemetry.spans import open_span
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.spans import SpanRecorder
 
-__all__ = ["DistributedQueryRun", "fold_reply_tree", "run_query_on_simulator"]
-
-
-def fold_reply_tree(
-    tree: MulticastTree, leaf_events: Mapping[int, Sequence[Event]]
-) -> list[Event]:
-    """The canonical reply-tree aggregation: one deterministic fold.
-
-    Every node's partial reply is its own stored events followed by its
-    children's partials in sorted-child order — the in-network
-    aggregation rule of Section 3.2.3, fixed to a single canonical order
-    so it can serve as the reference both for the event-driven execution
-    below and for the sharded engine's cross-shard folding
-    (:func:`repro.shard.merge.fold_shard_replies` produces exactly this
-    list for any shard ownership, which is what makes sharded reply
-    aggregation provably equivalent rather than approximately so).
-    """
-    children = tree.children()
-    partial: dict[int, list[Event]] = {}
-    order = sorted(tree.nodes(), key=lambda n: (-tree.depth_of(n), n))
-    for node in order:
-        events = list(leaf_events.get(node, ()))
-        for child in children.get(node, ()):
-            events.extend(partial.pop(child))
-        partial[node] = events
-    return partial[tree.root]
+__all__ = ["DistributedQueryRun", "run_query_on_simulator"]
 
 
 @dataclass(slots=True)
@@ -133,28 +109,19 @@ class _Execution:
     # ---------------------------- dissemination ----------------------- #
 
     def start(self) -> None:
-        for pool in self.system.pools:
-            offsets = relevant_offsets(
-                self.query,
-                pool.index,
-                self.system.side_length,
-                recorder=self.recorder,
-            )
-            if not offsets:
-                continue
-            self.outstanding_pools += 1
-            self.pools_visited += 1
-            derived = query_ranges_for_pool(self.query, pool.index)
-            destinations: dict[int, None] = {}
+        # The facade's own plan, so the oracle walks exactly the legs
+        # (splitter, destinations, cells) the synchronous query charges.
+        legs: tuple[PoolLegPlan, ...] = self.system.plan_query(
+            self.sink, self.query
+        ).detail
+        self.outstanding_pools = self.pools_visited = len(legs)
+        for leg in legs:
             holders_segments: dict[int, list[list[Event]]] = {}
-            for ho, vo in offsets:
-                cell = pool.cell_at(ho, vo)
-                store = self.system._stores.get((pool.index, ho, vo))
+            for ho, vo in leg.offsets:
+                store = self.system._stores.get((leg.pool, ho, vo))
                 if store is None:
-                    destinations.setdefault(self.system.index_node(cell))
                     continue
-                for segment in store.segments_overlapping(derived.vertical):
-                    destinations.setdefault(segment.node)
+                for segment in store.segments_overlapping(leg.vertical):
                     holders_segments.setdefault(segment.node, []).append(
                         segment.events
                     )
@@ -162,8 +129,7 @@ class _Execution:
                 node: self.query.filter(chain.from_iterable(segments))
                 for node, segments in holders_segments.items()
             }
-            splitter = self.system.splitter(self.sink, pool.index)
-            self._launch_pool(splitter, list(destinations), holders_events)
+            self._launch_pool(leg.splitter, list(leg.destinations), holders_events)
 
     def _launch_pool(
         self,

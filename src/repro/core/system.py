@@ -648,29 +648,33 @@ class PoolSystem:
                     cell_holders=tuple(cell_holders),
                 )
             )
-        leg_plans = tuple(legs)
+        return self._assemble_plan("pool", sink, query, tuple(legs))
+
+    def _assemble_plan(
+        self,
+        tag: str,
+        sink: int,
+        query: RangeQuery,
+        legs: tuple[PoolLegPlan, ...],
+    ) -> QueryPlan:
+        """The :class:`QueryPlan` over ``legs``, its share key tagged ``tag``."""
         return QueryPlan(
             system="pool",
             sink=sink,
             query=query,
             cells=tuple(
-                (leg.pool, ho, vo) for leg in leg_plans for ho, vo in leg.offsets
+                (leg.pool, ho, vo) for leg in legs for ho, vo in leg.offsets
             ),
             destinations=tuple(
-                dict.fromkeys(
-                    node for leg in leg_plans for node in leg.destinations
-                )
+                dict.fromkeys(node for leg in legs for node in leg.destinations)
             ),
             share_key=(
-                "pool",
+                tag,
                 sink,
                 self.route_via_splitter,
-                tuple(
-                    (leg.pool, leg.splitter, leg.destinations)
-                    for leg in leg_plans
-                ),
+                tuple((leg.pool, leg.splitter, leg.destinations) for leg in legs),
             ),
-            detail=leg_plans,
+            detail=legs,
         )
 
     def execute_plan(self, plan: QueryPlan) -> Execution:
@@ -797,32 +801,7 @@ class PoolSystem:
             )
         if not legs:
             return None
-        retry_legs = tuple(legs)
-        return QueryPlan(
-            system="pool",
-            sink=plan.sink,
-            query=plan.query,
-            cells=tuple(
-                (leg.pool, ho, vo)
-                for leg in retry_legs
-                for ho, vo in leg.offsets
-            ),
-            destinations=tuple(
-                dict.fromkeys(
-                    node for leg in retry_legs for node in leg.destinations
-                )
-            ),
-            share_key=(
-                "pool-retry",
-                plan.sink,
-                self.route_via_splitter,
-                tuple(
-                    (leg.pool, leg.splitter, leg.destinations)
-                    for leg in retry_legs
-                ),
-            ),
-            detail=retry_legs,
-        )
+        return self._assemble_plan("pool-retry", plan.sink, plan.query, tuple(legs))
 
     def query_span_attrs(self, result: QueryResult) -> dict[str, object]:
         """Pool attributes for the query lifecycle span."""

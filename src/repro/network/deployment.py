@@ -104,24 +104,19 @@ class Deployment:
     # Sharding                                                           #
     # ------------------------------------------------------------------ #
 
-    def shard(self, shards: int, *, workers: str = "inline") -> "Deployment":
-        """Partition this deployment across ``shards`` tile workers.
+    def shard(self, shards: int) -> "Deployment":
+        """Partition this deployment across ``shards`` spatial tiles.
 
         Returns a :class:`~repro.shard.deployment.ShardedDeployment` over
-        the *same* topology object whose router executes on shard workers
-        (``workers="inline"`` or ``"process"``); routes, ledgers and
-        telemetry stay byte-identical to this deployment's.  Imported
-        lazily so the monolithic stack never pays for the shard package.
+        the *same* topology object whose router computes paths tile by
+        tile; routes, ledgers and telemetry stay byte-identical to this
+        deployment's.  Imported lazily so the monolithic stack never pays
+        for the shard package.
         """
         from repro.shard.deployment import ShardedDeployment
-        from repro.shard.engine import WorkerMode
-        from typing import cast
 
         return ShardedDeployment.partition(
-            self.topology,
-            shards,
-            planarization=self.planarization,
-            workers=cast("WorkerMode", workers),
+            self.topology, shards, planarization=self.planarization
         )
 
     # ------------------------------------------------------------------ #

@@ -78,8 +78,8 @@ class Simulator:
         self.hop_latency = hop_latency
         self.stats = stats if stats is not None else MessageStats()
         # The router indirection: callers may inject a shared router (the
-        # deployment's warmed cache, or a ShardRouter executing on shard
-        # workers) instead of this private per-simulator one.
+        # deployment's warmed cache, or a ShardRouter computing paths on
+        # shard tiles) instead of this private per-simulator one.
         if router is not None and router.topology is not topology:
             raise ConfigurationError(
                 "injected router must route over the simulator's topology"

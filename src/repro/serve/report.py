@@ -220,52 +220,23 @@ class ServeReport:
         return any(s.outcome not in COMPLETE_OUTCOMES for s in self.served)
 
     def as_dict(self, *, include_requests: bool = True) -> dict[str, Any]:
-        """JSON-ready view (deterministic; the CI artifact format)."""
-        if self.robust:
-            return self._as_dict_robust(include_requests=include_requests)
-        payload: dict[str, Any] = {
-            "schema": "serve-report/1",
-            "system": self.system,
-            "duration_s": round(self.duration, 6),
-            "requests": self.requests,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "hit_rate": round(self.hit_rate, 6),
-            "messages_total": self.messages_total,
-            "saved_messages": self.saved_messages,
-            "throughput_rps": round(self.throughput, 6),
-            "latency_p50_s": round(self.latency_percentile(0.50), 6),
-            "latency_p95_s": round(self.latency_percentile(0.95), 6),
-            "latency_p99_s": round(self.latency_percentile(0.99), 6),
-            "slo_target_s": round(self.slo_target_s, 6),
-            "slo_attainment": round(self.slo_attainment, 6),
-        }
-        if include_requests:
-            payload["served"] = [s.as_dict() for s in self.served]
-        return payload
+        """JSON-ready view (deterministic; the CI artifact format).
 
-    def _as_dict_robust(self, *, include_requests: bool) -> dict[str, Any]:
-        """The serve-report/2 shape: everything from v1 plus the
-        overload/fault accounting (goodput, terminal-outcome counters,
-        the active policy and breaker trips)."""
+        A :attr:`robust` report is the serve-report/2 shape: everything
+        from v1 plus the overload/fault accounting (goodput, terminal-
+        outcome counters, the active policy and breaker trips).  Key
+        order is irrelevant: every export is dumped with sorted keys.
+        """
+        robust = self.robust
         payload: dict[str, Any] = {
-            "schema": "serve-report/2",
+            "schema": "serve-report/2" if robust else "serve-report/1",
             "system": self.system,
             "duration_s": round(self.duration, 6),
             "requests": self.requests,
-            "offered": self.offered,
             "executed": self.executed,
             "cache_hits": self.cache_hits,
             "coalesced": self.coalesced,
-            "partial": self.partials,
-            "timeouts": self.timeouts,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "stale_served": self.stale_served,
             "hit_rate": round(self.hit_rate, 6),
-            "goodput": round(self.goodput, 6),
-            "breaker_trips": self.breaker_trips,
             "messages_total": self.messages_total,
             "saved_messages": self.saved_messages,
             "throughput_rps": round(self.throughput, 6),
@@ -274,8 +245,19 @@ class ServeReport:
             "latency_p99_s": round(self.latency_percentile(0.99), 6),
             "slo_target_s": round(self.slo_target_s, 6),
             "slo_attainment": round(self.slo_attainment, 6),
-            "policy": self.policy,
         }
+        if robust:
+            payload.update(
+                offered=self.offered,
+                partial=self.partials,
+                timeouts=self.timeouts,
+                shed=self.shed,
+                rejected=self.rejected,
+                stale_served=self.stale_served,
+                goodput=round(self.goodput, 6),
+                breaker_trips=self.breaker_trips,
+                policy=self.policy,
+            )
         if include_requests:
             payload["served"] = [s.as_dict() for s in self.served]
         return payload

@@ -1,15 +1,14 @@
 """Shard-aware simulation engine: one deployment, K spatial tiles.
 
-The monolithic stack bounds one deployment by one process.  This package
-spatially partitions a deployment's field into a grid of tiles
-(:class:`~repro.shard.plan.ShardPlan`); each tile is owned by a worker —
-an in-process state or a forked worker process — holding only its own
+This package spatially partitions a deployment's field into a grid of tiles
+(:class:`~repro.shard.plan.ShardPlan`); each tile holds only its own
 nodes plus a boundary *halo* one radio range wide
 (:class:`~repro.shard.view.ShardWorkerState`).  Packets are advanced by
-whichever worker owns their current node; a GPSR forwarding step that
-crosses a tile edge emigrates the packet header to the neighboring tile's
-worker in a deterministic bulk-synchronous exchange round
-(:class:`~repro.shard.engine.ShardEngine`).
+whichever tile owns their current node; a GPSR forwarding step that
+crosses a tile edge emigrates the packet header to the neighboring tile
+in a deterministic bulk-synchronous exchange round
+(:class:`~repro.shard.engine.ShardEngine`).  Every tile runs in the
+calling process: only GPSR path computation is sharded.
 
 Because a shard's halo contains every neighbor and every planarization
 witness of its owned nodes, each local forwarding decision is *exactly*
@@ -32,7 +31,6 @@ __all__ = [
     "ShardPlan",
     "ShardRouter",
     "ShardedDeployment",
-    "merge_counter_maps",
     "merge_shard_records",
 ]
 
@@ -40,7 +38,7 @@ __all__ = [
 def __getattr__(name: str) -> Any:
     # Lazy so ``python -m repro.shard.merge`` does not import the merge
     # module twice (package import + runpy) and warn about it.
-    if name in ("merge_counter_maps", "merge_shard_records"):
+    if name == "merge_shard_records":
         from repro.shard import merge
 
         return getattr(merge, name)

@@ -1,12 +1,12 @@
-"""A drop-in :class:`Deployment` whose router executes on shard workers.
+"""A drop-in :class:`Deployment` whose router executes on shard tiles.
 
 :class:`ShardedDeployment` subclasses the monolithic
 :class:`~repro.network.deployment.Deployment`, so every consumer — the
 :class:`~repro.network.network.Network` facade, the harness, the systems
 under test — takes it unchanged; the only difference is that its router
 is a :class:`~repro.shard.router.ShardRouter` over a shared
-:class:`~repro.shard.engine.ShardEngine`.  One engine (and its worker
-states/processes) serves the base deployment *and* every failure-derived
+:class:`~repro.shard.engine.ShardEngine`.  One engine (and its tile
+states) serves the base deployment *and* every failure-derived
 deployment, keyed by failure epoch, mirroring the copy-on-write failure
 semantics of the monolithic stack.
 """
@@ -19,7 +19,7 @@ from repro.network.deployment import Deployment
 from repro.network.topology import Topology, deploy_uniform
 from repro.rng import SeedLike
 from repro.routing.planarization import PlanarizationKind
-from repro.shard.engine import ShardEngine, WorkerMode
+from repro.shard.engine import ShardEngine
 from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter
 
@@ -27,7 +27,7 @@ __all__ = ["ShardedDeployment"]
 
 
 class ShardedDeployment(Deployment):
-    """A deployment spatially partitioned across shard workers."""
+    """A deployment spatially partitioned across shard tiles."""
 
     __slots__ = ("plan", "engine")
 
@@ -37,7 +37,6 @@ class ShardedDeployment(Deployment):
         plan: ShardPlan,
         *,
         planarization: PlanarizationKind = "gabriel",
-        workers: WorkerMode = "inline",
         engine: ShardEngine | None = None,
         router: ShardRouter | None = None,
     ) -> None:
@@ -45,9 +44,7 @@ class ShardedDeployment(Deployment):
         self.engine = (
             engine
             if engine is not None
-            else ShardEngine(
-                topology, plan, planarization=planarization, workers=workers
-            )
+            else ShardEngine(topology, plan, planarization=planarization)
         )
         super().__init__(
             topology,
@@ -65,7 +62,6 @@ class ShardedDeployment(Deployment):
         target_degree: float = 20.0,
         seed: SeedLike = None,
         planarization: PlanarizationKind = "gabriel",
-        workers: WorkerMode = "inline",
     ) -> "ShardedDeployment":
         """Deploy a paper-style uniform field, partitioned into ``shards``.
 
@@ -79,9 +75,7 @@ class ShardedDeployment(Deployment):
             target_degree=target_degree,
             seed=seed,
         )
-        return cls.partition(
-            topology, shards, planarization=planarization, workers=workers
-        )
+        return cls.partition(topology, shards, planarization=planarization)
 
     @classmethod
     def partition(
@@ -90,13 +84,10 @@ class ShardedDeployment(Deployment):
         shards: int,
         *,
         planarization: PlanarizationKind = "gabriel",
-        workers: WorkerMode = "inline",
     ) -> "ShardedDeployment":
         """Partition an existing topology (halo = its radio range)."""
         plan = ShardPlan.grid(topology.field, shards, halo=topology.radio_range)
-        return cls(
-            topology, plan, planarization=planarization, workers=workers
-        )
+        return cls(topology, plan, planarization=planarization)
 
     # ------------------------------------------------------------------ #
     # Failures                                                           #
@@ -109,7 +100,7 @@ class ShardedDeployment(Deployment):
 
         Same contract as :meth:`Deployment.fail_nodes`; the derived
         deployment routes through the same engine under a new failure
-        epoch, so worker views rebuild against the same excluded set.
+        epoch, so tile views rebuild against the same excluded set.
         """
         assert isinstance(self.router, ShardRouter)
         router = self.router.without_nodes(tuple(nodes))
@@ -121,22 +112,7 @@ class ShardedDeployment(Deployment):
             router=router,
         )
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle                                                          #
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Shut down the engine's worker processes (idempotent)."""
-        self.engine.close()
-
-    def __enter__(self) -> "ShardedDeployment":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ShardedDeployment({self.topology!r}, shards={self.plan.shards}, "
-            f"workers={self.engine.workers!r})"
+            f"ShardedDeployment({self.topology!r}, shards={self.plan.shards})"
         )

@@ -1,4 +1,4 @@
-"""Deterministic bulk-synchronous packet exchange across shard workers.
+"""Deterministic bulk-synchronous packet exchange across shard tiles.
 
 The :class:`ShardEngine` drives a batch of routing requests to completion
 in *exchange rounds*: each round, every shard advances the packets whose
@@ -9,22 +9,10 @@ plan always produce the same round/boundary-message counts — and the
 per-packet decisions are byte-equal to the monolithic router because both
 run the *same* :meth:`~repro.routing.gpsr.GPSRRouter.forward_one` code
 over views with identical neighbor tables (see :mod:`repro.shard.view`).
-
-Two worker modes share the advance code path:
-
-* ``"inline"`` — worker states live in this process (no IPC); the mode
-  the equivalence tests exercise and the fastest on a single core.
-* ``"process"`` — one forked worker per shard, packets crossing tile
-  edges pickled over pipes; the scale-out mode for multi-core hosts.
+Every tile runs in this process; only GPSR path computation is sharded.
 """
 
 from __future__ import annotations
-
-import multiprocessing as mp
-from multiprocessing.connection import Connection
-from typing import Literal
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.geometry import Point
@@ -34,56 +22,11 @@ from repro.routing.planarization import PlanarizationKind
 from repro.shard.plan import ShardPlan
 from repro.shard.view import FinishedPacket, ShardPacket, ShardWorkerState
 
-__all__ = ["ShardEngine", "WorkerMode"]
-
-WorkerMode = Literal["inline", "process"]
-
-
-def _worker_main(
-    conn: Connection,
-    positions: np.ndarray,
-    radio_range: float,
-    field_rect: object,
-    plan: ShardPlan,
-    shard_id: int,
-    planarization: PlanarizationKind,
-) -> None:  # pragma: no cover - exercised in a child process
-    """Forked worker loop: build views lazily per epoch, advance packets."""
-    epochs: dict[int, frozenset[int]] = {}
-    states: dict[int, ShardWorkerState] = {}
-    try:
-        while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "advance":
-                _, epoch, packets = message
-                state = states.get(epoch)
-                if state is None:
-                    state = ShardWorkerState(
-                        positions,
-                        radio_range,
-                        field_rect,  # type: ignore[arg-type]
-                        plan,
-                        shard_id,
-                        planarization=planarization,
-                        excluded=epochs.get(epoch, frozenset()),
-                    )
-                    states[epoch] = state
-                result = state.advance(packets)
-                conn.send((result.finished, result.emigrants, result.steps))
-            elif command == "epoch":
-                _, epoch, excluded = message
-                epochs[epoch] = frozenset(excluded)
-            elif command == "stop":
-                break
-    except (EOFError, KeyboardInterrupt):
-        pass
-    finally:
-        conn.close()
+__all__ = ["ShardEngine"]
 
 
 class ShardEngine:
-    """Routes packet batches over K shard workers, byte-equal to 1 worker.
+    """Routes packet batches over K shard tiles, byte-equal to 1 tile.
 
     Parameters
     ----------
@@ -93,9 +36,6 @@ class ShardEngine:
     plan:
         The spatial tiling; its halo must be at least the radio range for
         the equivalence guarantee to hold (checked here).
-    workers:
-        ``"inline"`` (worker states in this process) or ``"process"``
-        (one forked worker per shard, lazily started).
     """
 
     def __init__(
@@ -104,7 +44,6 @@ class ShardEngine:
         plan: ShardPlan,
         *,
         planarization: PlanarizationKind = "gabriel",
-        workers: WorkerMode = "inline",
         ttl_factor: int = 4,
     ) -> None:
         if plan.halo < topology.radio_range:
@@ -112,19 +51,13 @@ class ShardEngine:
                 f"halo {plan.halo} is narrower than the radio range "
                 f"{topology.radio_range}; boundary decisions would diverge"
             )
-        if workers not in ("inline", "process"):
-            raise ConfigurationError(f"unknown worker mode {workers!r}")
         self.topology = topology
         self.plan = plan
         self.planarization: PlanarizationKind = planarization
-        self.workers: WorkerMode = workers
         self.ttl = ttl_factor * topology.size + 16
         self._owner = plan.owner_of_nodes(topology.positions)
         self._epochs: dict[int, frozenset[int]] = {0: topology.excluded}
         self._states: dict[tuple[int, int], ShardWorkerState] = {}
-        self._procs: dict[int, tuple[mp.process.BaseProcess, Connection]] = {}
-        self._proc_epochs: dict[int, set[int]] = {}
-        self._closed = False
         #: Deterministic counters: BSP rounds consumed and packet headers
         #: exchanged across tile edges (the "boundary messages").
         self.exchange_rounds = 0
@@ -157,8 +90,6 @@ class ShardEngine:
         ``GPSRRouter`` error behavior); this method only runs the BSP
         exchange loop.
         """
-        if self._closed:
-            raise ConfigurationError("ShardEngine is closed")
         if epoch not in self._epochs:
             raise ConfigurationError(f"unknown failure epoch {epoch}")
         results: list[FinishedPacket | None] = [None] * len(pairs)
@@ -183,10 +114,11 @@ class ShardEngine:
         while pending:
             self.exchange_rounds += 1
             emigrants: list[ShardPacket] = []
-            for shard, (finished, moved) in self._advance_round(pending, epoch):
-                for done in finished:
+            for shard in sorted(pending):
+                result = self._state(shard, epoch).advance(pending[shard])
+                for done in result.finished:
                     results[done.pid] = done
-                emigrants.extend(moved)
+                emigrants.extend(result.emigrants)
             self.boundary_messages += len(emigrants)
             pending = {}
             for packet in emigrants:
@@ -201,35 +133,7 @@ class ShardEngine:
             out.append(done)
         return out
 
-    def _advance_round(
-        self, pending: dict[int, list[ShardPacket]], epoch: int
-    ) -> list[tuple[int, tuple[list[FinishedPacket], list[ShardPacket]]]]:
-        """Advance one BSP round on every shard holding packets."""
-        shards = sorted(pending)
-        if self.workers == "inline":
-            round_out: list[
-                tuple[int, tuple[list[FinishedPacket], list[ShardPacket]]]
-            ] = []
-            for shard in shards:
-                result = self._inline_state(shard, epoch).advance(pending[shard])
-                round_out.append((shard, (result.finished, result.emigrants)))
-            return round_out
-        # Process mode: ship all advance commands, then collect replies in
-        # the same (sorted) shard order so merging stays deterministic.
-        for shard in shards:
-            conn = self._proc_conn(shard, epoch)
-            conn.send(("advance", epoch, pending[shard]))
-        round_out = []
-        for shard in shards:
-            finished, moved, _steps = self._procs[shard][1].recv()
-            round_out.append((shard, (finished, moved)))
-        return round_out
-
-    # ------------------------------------------------------------------ #
-    # Worker management                                                  #
-    # ------------------------------------------------------------------ #
-
-    def _inline_state(self, shard: int, epoch: int) -> ShardWorkerState:
+    def _state(self, shard: int, epoch: int) -> ShardWorkerState:
         key = (epoch, shard)
         state = self._states.get(key)
         if state is None:
@@ -245,61 +149,8 @@ class ShardEngine:
             self._states[key] = state
         return state
 
-    def _proc_conn(self, shard: int, epoch: int) -> Connection:
-        entry = self._procs.get(shard)
-        if entry is None:
-            context = mp.get_context("fork")
-            parent, child = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    child,
-                    self.topology.positions,
-                    self.topology.radio_range,
-                    self.topology.field,
-                    self.plan,
-                    shard,
-                    self.planarization,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child.close()
-            entry = (process, parent)
-            self._procs[shard] = entry
-            self._proc_epochs[shard] = set()
-        if epoch not in self._proc_epochs[shard]:
-            entry[1].send(
-                ("epoch", epoch, tuple(sorted(self._epochs[epoch])))
-            )
-            self._proc_epochs[shard].add(epoch)
-        return entry[1]
-
-    def close(self) -> None:
-        """Stop worker processes and release their pipes (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for shard in sorted(self._procs):
-            process, conn = self._procs[shard]
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):  # pragma: no cover - defensive
-                pass
-            conn.close()
-        for shard in sorted(self._procs):
-            self._procs[shard][0].join(timeout=5.0)
-        self._procs.clear()
-        self._states.clear()
-
-    def __enter__(self) -> "ShardEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ShardEngine(shards={self.plan.shards}, workers={self.workers!r}, "
+            f"ShardEngine(shards={self.plan.shards}, "
             f"rounds={self.exchange_rounds}, boundary={self.boundary_messages})"
         )

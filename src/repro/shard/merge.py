@@ -1,10 +1,8 @@
-"""Deterministic cross-shard result folding and telemetry normalization.
+"""Deterministic telemetry normalization for sharded runs.
 
-Everything a sharded run merges — per-shard reply partials, per-shard
-counter maps, shard-tagged telemetry — is folded here in *sorted key
-order*, never in dict insertion order: insertion order in a sharded run
-reflects which worker finished first, which is exactly the
-nondeterminism the ``shards-1-vs-K`` byte-equality guarantee forbids
+Shard-tagged telemetry is folded here in *sorted key order*, never in
+dict insertion order, so a merged export cannot depend on the order in
+which tiles produced it — the ``shards-1-vs-K`` byte-equality guarantee
 (``tools/repro_lint`` rule REP006 enforces this on this module).
 
 Run as a module to normalize a telemetry export for comparison::
@@ -19,73 +17,9 @@ to a ``--shards 1`` export of the same seed
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.events.event import Event
-from repro.routing.multicast import MulticastTree
-
-__all__ = [
-    "FoldedReplies",
-    "fold_shard_replies",
-    "merge_counter_maps",
-    "merge_shard_records",
-    "main",
-]
-
-
-@dataclass(slots=True)
-class FoldedReplies:
-    """A sharded reply fold: the events plus its boundary-crossing count."""
-
-    events: list[Event]
-    cross_shard_merges: int
-
-
-def fold_shard_replies(
-    tree: MulticastTree,
-    leaf_events: Mapping[int, Sequence[Event]],
-    owner: Mapping[int, int],
-) -> FoldedReplies:
-    """Fold per-holder replies up ``tree`` across shard-local fragments.
-
-    Nodes are processed deepest-first; each node's partial aggregate is
-    its own events followed by its children's partials in sorted-child
-    order — the same merge rule at every node, whether or not a shard
-    boundary runs between parent and child.  The result therefore equals
-    :func:`repro.core.protocol.fold_reply_tree` for *any* ownership map
-    (the shard property tests assert this), and ``cross_shard_merges``
-    counts the partials that crossed a tile edge on the way up.
-    """
-    children = tree.children()
-    partial: dict[int, list[Event]] = {}
-    crossings = 0
-    order = sorted(tree.nodes(), key=lambda n: (-tree.depth_of(n), n))
-    for node in order:
-        events = list(leaf_events.get(node, ()))
-        for child in children.get(node, ()):
-            events.extend(partial.pop(child))
-            if owner.get(child) != owner.get(node):
-                crossings += 1
-        partial[node] = events
-    return FoldedReplies(events=partial[tree.root], cross_shard_merges=crossings)
-
-
-def merge_counter_maps(
-    per_shard: Mapping[int, Mapping[str, int]],
-) -> dict[str, int]:
-    """Sum per-shard counter maps in sorted (shard, key) order."""
-    merged: dict[str, int] = {}
-    for shard in sorted(per_shard):
-        counters = per_shard[shard]
-        for key in sorted(counters):
-            merged[key] = merged.get(key, 0) + counters[key]
-    return dict(sorted(merged.items()))
-
-
-# --------------------------------------------------------------------------- #
-# Telemetry normalization                                                     #
-# --------------------------------------------------------------------------- #
+__all__ = ["merge_shard_records", "main"]
 
 
 def _strip_span(span: dict[str, Any]) -> dict[str, Any]:

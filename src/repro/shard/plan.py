@@ -77,7 +77,7 @@ class ShardPlan:
 
     @property
     def shards(self) -> int:
-        """Number of tiles (= workers)."""
+        """Number of tiles."""
         return self.tiles_x * self.tiles_y
 
     @property

@@ -26,12 +26,12 @@ __all__ = ["ShardRouter"]
 
 
 class ShardRouter(GPSRRouter):
-    """A GPSR-compatible router that executes on shard workers.
+    """A GPSR-compatible router that computes paths tile by tile.
 
     Parameters
     ----------
     engine:
-        The shared exchange engine (owns the worker states/processes).
+        The shared exchange engine (owns the tile states).
     topology:
         The epoch's global topology view; defaults to the engine's base
         topology (epoch 0).  Derived (failure) routers pass the degraded
@@ -121,7 +121,7 @@ class ShardRouter(GPSRRouter):
 
         Mirrors :meth:`GPSRRouter.without_nodes`: surviving cached paths
         are kept, and the engine registers (or reuses) a failure epoch so
-        workers rebuild their halo views against the same excluded set.
+        tiles rebuild their halo views against the same excluded set.
         """
         failed_set = frozenset(int(n) for n in failed)
         topology = self.topology.without(failed_set)

@@ -1,7 +1,7 @@
 """One shard's local world: a halo-padded topology view plus GPSR state.
 
-A :class:`ShardWorkerState` is what a worker (in-process or forked) holds
-for one tile at one failure epoch: a :class:`Topology` over the *global*
+A :class:`ShardWorkerState` is what the engine holds for one tile at one
+failure epoch: a :class:`Topology` over the *global*
 position array with every non-member marked excluded, and a memoizing
 :class:`GPSRRouter` over that view.  Three properties make the view
 sufficient:
@@ -15,7 +15,7 @@ sufficient:
 * ``topology.size`` counts all ids, so the TTL budget equals the global
   router's.
 
-Workers therefore make bit-equal forwarding decisions for the nodes they
+Tiles therefore make bit-equal forwarding decisions for the nodes they
 own, and only for those — packets whose current node is owned elsewhere
 are emigrated, never stepped.
 """
@@ -37,7 +37,7 @@ __all__ = ["ShardPacket", "FinishedPacket", "ShardWorkerState"]
 
 @dataclass(slots=True)
 class ShardPacket:
-    """One in-flight routing request, picklable for boundary handoff.
+    """One in-flight routing request, handed between tiles at boundaries.
 
     ``pid`` is the engine-assigned packet index (stable across exchange
     rounds — the deterministic processing order); ``ttl_left`` counts the
@@ -63,7 +63,7 @@ class FinishedPacket:
     path: list[int]
     perimeter_hops: int = 0
     #: Per-hop forwarding modes (aligned with ``path``), carried across
-    #: the worker boundary so the shard router's mode cache matches the
+    #: tile boundaries so the shard router's mode cache matches the
     #: monolithic router's byte for byte.
     modes: tuple[str, ...] = ()
 
@@ -97,11 +97,10 @@ class _MemoGPSR(GPSRRouter):
 
 @dataclass(slots=True)
 class _AdvanceResult:
-    """Output of one worker advance call within one exchange round."""
+    """Output of one tile advance call within one exchange round."""
 
     finished: list[FinishedPacket] = field(default_factory=list)
     emigrants: list[ShardPacket] = field(default_factory=list)
-    steps: int = 0
 
 
 class ShardWorkerState:
@@ -178,7 +177,6 @@ class ShardWorkerState:
                 outcome, nxt = router.forward_one(
                     packet.current, packet.previous, packet.state
                 )
-                result.steps += 1
                 if outcome == "stay":
                     continue
                 if outcome == "drop":

@@ -10,7 +10,6 @@ from repro.bench import scale_demo
 DEMO = {
     "size": 10_000,
     "shards": 4,
-    "shard_workers": "inline",
     "budget_seconds": 5.0,
     "seconds": 3.0,
     "under_budget": True,

@@ -18,16 +18,22 @@ from repro.network.simulator import Simulator
 from repro.network.topology import deploy_uniform
 
 
-@pytest.fixture(scope="module")
-def world():
+def build_world(*, route_via_splitter: bool = True):
     topology = deploy_uniform(350, seed=23)
     network = Network(topology)
-    system = PoolSystem(network, 3, seed=23)
+    system = PoolSystem(
+        network, 3, seed=23, route_via_splitter=route_via_splitter
+    )
     events = generate_events(1050, 3, seed=24, sources=list(topology))
     for event in events:
         system.insert(event)
     simulator = Simulator(topology, hop_latency=0.01)
     return system, simulator, events
+
+
+@pytest.fixture(scope="module")
+def world():
+    return build_world()
 
 
 class TestEquivalence:
@@ -85,6 +91,16 @@ class TestEquivalence:
         run = run_query_on_simulator(system, simulator, 0, impossible)
         assert run.total_cost == sync.total_cost
         assert run.events == [] if sync.match_count == 0 else True
+
+
+class TestEquivalenceWithoutSplitter(TestEquivalence):
+    """The same checks with every tree rooted at the sink itself
+    (``route_via_splitter=False``): the oracle must skip the splitter
+    leg exactly as the synchronous accounting does."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world(route_via_splitter=False)
 
 
 class TestValidation:

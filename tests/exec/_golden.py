@@ -45,7 +45,6 @@ def golden_config(*, loss_rate: float = 0.0, shards: int = 1) -> ExperimentConfi
         systems=("pool", "dim", "difs", "flooding", "external"),
         loss_rate=loss_rate,
         shards=shards,
-        shard_workers="inline",
     )
 
 

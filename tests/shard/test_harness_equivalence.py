@@ -2,8 +2,7 @@
 
 The acceptance bar for the shard-aware engine: result rows, ledgers and
 telemetry of a ``--shards K`` run are *byte-identical* to ``--shards 1``
-for the same seed — under perfect links, under a lossy channel, and with
-forked worker processes.
+for the same seed — under perfect links and under a lossy channel.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from repro.shard.merge import merge_shard_records
 from repro.telemetry.export import write_telemetry_jsonl
 
 
-def _config(shards: int = 1, workers: str = "inline", **overrides) -> ExperimentConfig:
+def _config(shards: int = 1, **overrides) -> ExperimentConfig:
     defaults = dict(
         name="shard-equivalence",
         title="shard equivalence smoke",
@@ -37,7 +36,6 @@ def _config(shards: int = 1, workers: str = "inline", **overrides) -> Experiment
             ),
         ),
         shards=shards,
-        shard_workers=workers,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -56,11 +54,6 @@ class TestRowEquivalence:
     def test_lossy_rows_equal_too(self):
         mono = run_experiment(_config(1, loss_rate=0.15), seed=3)
         sharded = run_experiment(_config(4, loss_rate=0.15), seed=3)
-        assert _rows(sharded) == _rows(mono)
-
-    def test_process_workers_rows_equal_too(self):
-        mono = run_experiment(_config(1), seed=4)
-        sharded = run_experiment(_config(4, workers="process"), seed=4)
         assert _rows(sharded) == _rows(mono)
 
 

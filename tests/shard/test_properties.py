@@ -3,8 +3,6 @@
 The satellite guarantee: on random topologies, GPSR routes and multicast
 trees computed under *any* ShardPlan are identical to the monolithic
 router for every cross-boundary pair — not statistically close, equal.
-Reply-tree folding over shard-local partials likewise reproduces the
-canonical fold for any ownership assignment.
 """
 
 from __future__ import annotations
@@ -12,15 +10,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import fold_reply_tree
-from repro.events.event import Event
 from repro.exceptions import DeliveryError
 from repro.network.topology import deploy_uniform
 from repro.routing.gpsr import GPSRRouter
 from repro.routing.multicast import TreeBuilder
 from repro.rng import derive
 from repro.shard.engine import ShardEngine
-from repro.shard.merge import fold_shard_replies, merge_counter_maps
 from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter
 
@@ -53,15 +48,14 @@ class TestRouteEquivalence:
         topology, plan = case
         owner = plan.owner_of_nodes(topology.positions)
         reference = GPSRRouter(topology)
-        with ShardEngine(topology, plan) as engine:
-            router = ShardRouter(engine)
-            for src in range(topology.size):
-                for dst in range(topology.size):
-                    if src == dst or owner[src] == owner[dst]:
-                        continue
-                    assert _outcome(router, src, dst) == _outcome(
-                        reference, src, dst
-                    ), f"divergence on cross-boundary pair ({src}, {dst})"
+        router = ShardRouter(ShardEngine(topology, plan))
+        for src in range(topology.size):
+            for dst in range(topology.size):
+                if src == dst or owner[src] == owner[dst]:
+                    continue
+                assert _outcome(router, src, dst) == _outcome(
+                    reference, src, dst
+                ), f"divergence on cross-boundary pair ({src}, {dst})"
 
 
 class TestTreeEquivalence:
@@ -79,81 +73,10 @@ class TestTreeEquivalence:
         )
         reference = TreeBuilder(GPSRRouter(topology), root=root)
         reference.add_destinations(destinations)
-        with ShardEngine(topology, plan) as engine:
-            sharded = TreeBuilder(ShardRouter(engine), root=root)
-            sharded.add_destinations(destinations)
-            ours = sharded.build()
+        sharded = TreeBuilder(ShardRouter(ShardEngine(topology, plan)), root=root)
+        sharded.add_destinations(destinations)
+        ours = sharded.build()
         theirs = reference.build()
         assert ours.root == theirs.root
         assert ours.destinations == theirs.destinations
         assert ours.edges == theirs.edges
-
-
-class TestFoldEquivalence:
-    @given(
-        sharded_topologies(),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_shard_fold_equals_canonical_fold(self, case, pick):
-        topology, plan = case
-        rng = derive(pick, "fold-events")
-        root = int(rng.integers(0, topology.size))
-        count = min(topology.size - 1, 6)
-        destinations = [
-            int(node)
-            for node in rng.choice(topology.size, size=count, replace=False)
-            if int(node) != root
-        ]
-        builder = TreeBuilder(GPSRRouter(topology), root=root)
-        builder.add_destinations(sorted(destinations))
-        tree = builder.build()
-        leaf_events = {
-            node: [
-                Event((float(value),), source=node, seq=seq)
-                for seq, value in enumerate(
-                    rng.uniform(0.0, 1.0, size=int(rng.integers(0, 3)))
-                )
-            ]
-            for node in sorted(tree.nodes())
-        }
-        owner_array = plan.owner_of_nodes(topology.positions)
-        owner = {node: int(owner_array[node]) for node in tree.nodes()}
-        folded = fold_shard_replies(tree, leaf_events, owner)
-        assert folded.events == fold_reply_tree(tree, leaf_events)
-
-    @given(sharded_topologies(), st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_single_owner_fold_never_crosses(self, case, pick):
-        topology, plan = case
-        rng = derive(pick, "fold-single")
-        root = int(rng.integers(0, topology.size))
-        destinations = sorted(
-            int(node)
-            for node in rng.choice(
-                topology.size, size=min(topology.size - 1, 5), replace=False
-            )
-            if int(node) != root
-        )
-        builder = TreeBuilder(GPSRRouter(topology), root=root)
-        builder.add_destinations(destinations)
-        tree = builder.build()
-        leaf_events = {node: [] for node in tree.nodes()}
-        folded = fold_shard_replies(
-            tree, leaf_events, {node: 0 for node in tree.nodes()}
-        )
-        assert folded.cross_shard_merges == 0
-
-
-class TestCounterMerge:
-    def test_merge_is_order_independent(self):
-        per_shard = {
-            2: {"b": 1, "a": 2},
-            0: {"a": 1, "c": 5},
-            1: {"b": 4},
-        }
-        merged = merge_counter_maps(per_shard)
-        assert merged == {"a": 3, "b": 5, "c": 5}
-        assert list(merged) == ["a", "b", "c"]
-        reordered = merge_counter_maps(dict(sorted(per_shard.items())))
-        assert list(reordered.items()) == list(merged.items())

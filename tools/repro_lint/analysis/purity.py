@@ -1,10 +1,10 @@
 """REP104 — shard-worker purity: no writes to process-shared state.
 
-Shard workers advance packets in forked processes *and* inline in the
-parent (``--shard-workers 0``); byte-identity between the two demands
-that worker-executed code never writes module-level (process-shared)
-mutable state — a memo dict at module scope would be shared when inline
-and per-process when forked, silently diverging the two modes.
+Shard tiles advance packets in the calling process.  Tile code keeps
+no process-shared state, so tiles stay relocatable: worker-executed
+code never writes module-level (process-shared) mutable state — a memo
+dict at module scope would be shared by every tile and would silently
+couple their decisions.
 
 The worker-reachable set is derived from the engine's entry points
 (:data:`Config.rep104_entrypoints`, matched as dotted-qualname

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from repro.network.messages import MessageCategory
 
@@ -83,13 +83,21 @@ class MessageStats:
         if receiver is not None:
             self._per_node_rx[receiver] += hops
 
-    def record_path(self, category: MessageCategory, path: Iterable[int]) -> None:
-        """Record a multi-hop traversal: one transmission per path edge."""
-        previous: int | None = None
-        for node in path:
-            if previous is not None:
-                self.record(category, sender=previous, receiver=node)
-            previous = node
+    def record_path(self, category: MessageCategory, path: Sequence[int]) -> None:
+        """Record a multi-hop traversal: one transmission per path edge.
+
+        Charged in one step rather than one :meth:`record` per hop (this
+        runs for every routed packet): every node but the last sends
+        once, every node but the first receives once.  Nodes enter the
+        per-node counters in path order, as one ``record`` per hop would
+        add them, so the per-node views iterate identically.
+        """
+        hops = len(path) - 1
+        if hops <= 0:
+            return
+        self._counts[category] += hops
+        self._per_node_tx.update(path[:-1])
+        self._per_node_rx.update(path[1:])
 
     # ------------------------------------------------------------------ #
     # Reading (aggregates over this scope and all scopes below it)       #

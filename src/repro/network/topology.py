@@ -120,10 +120,24 @@ class Topology:
         """Read-only ``(n, 2)`` position array."""
         return self._positions
 
+    @cached_property
+    def coords(self) -> list[tuple[float, float]]:
+        """Node positions as ``(x, y)`` Python-float tuples, built once.
+
+        The forwarding hot path (GPSR's greedy and perimeter decisions,
+        planarization witness tests) reads these instead of indexing
+        ``positions``: each numpy row index allocates an array view and
+        every arithmetic step on its ``np.float64`` items dispatches
+        through numpy's scalar machinery.  ``tolist()`` yields the exact
+        binary64 values, and float ``-``, ``*`` and ``+`` are the same
+        IEEE-754 operations numpy performs, so every distance computed
+        from these tuples is bit-equal to the numpy-row one.
+        """
+        return [(x, y) for x, y in self._positions.tolist()]
+
     def position(self, node: int) -> Point:
         """Position of a node id as a :class:`Point`."""
-        x, y = self._positions[node]
-        return Point(float(x), float(y))
+        return Point(*self.coords[node])
 
     # ------------------------------------------------------------------ #
     # Connectivity                                                       #

@@ -30,7 +30,6 @@ from repro.geometry import (
     Point,
     angle_of,
     ccw_angle_from,
-    distance_sq,
     segment_intersection_point,
 )
 from repro.network.topology import Topology
@@ -250,7 +249,7 @@ class GPSRRouter:
 
     def start_packet(self, dst: int) -> PacketState:
         """A fresh packet header addressed to node ``dst``."""
-        return PacketState(dest=self.topology.position(dst))
+        return PacketState(dest=Point(*self.topology.coords[dst]))
 
     def forward_one(
         self, current: int, previous: int | None, state: PacketState
@@ -272,11 +271,13 @@ class GPSRRouter:
                 if nxt is None:
                     return "drop", None
         else:
-            here = Point(*self.topology.positions[current])
+            x, y = self.topology.coords[current]
+            tx, ty = state.dest
             assert state.entry is not None
-            if distance_sq(here, state.dest) < distance_sq(
-                state.entry, state.dest
-            ):
+            ex, ey = state.entry
+            dx, dy = x - tx, y - ty
+            edx, edy = ex - tx, ey - ty
+            if dx * dx + dy * dy < edx * edx + edy * edy:
                 # Progress past the dead-end point: back to greedy.
                 state.mode = _GREEDY
                 state.traversed.clear()
@@ -328,7 +329,10 @@ class GPSRRouter:
                 continue
             if outcome == "drop":
                 return RouteResult(
-                    path, delivered=False, modes=tuple(state.modes)
+                    path,
+                    delivered=False,
+                    perimeter_hops=state.perimeter_hops,
+                    modes=tuple(state.modes),
                 )
             assert nxt is not None
             previous, current = current, nxt
@@ -340,11 +344,14 @@ class GPSRRouter:
     def greedy_success_ratio(self, samples: list[tuple[int, int]]) -> float:
         """Fraction of ``(src, dst)`` pairs delivered without perimeter mode.
 
-        Used by the routing-validation ablation experiment.
+        Used by the routing-validation ablation experiment.  A pair that
+        is never delivered does not count as a greedy success, even when
+        its walk dropped before taking a perimeter hop.
         """
         if not samples:
             return 1.0
-        ok = sum(1 for s, d in samples if self.route(s, d).greedy_only)
+        results = (self.route(s, d) for s, d in samples)
+        ok = sum(1 for r in results if r.delivered and r.greedy_only)
         return ok / len(samples)
 
     # ------------------------------------------------------------------ #
@@ -352,19 +359,31 @@ class GPSRRouter:
     # ------------------------------------------------------------------ #
 
     def _greedy_next(self, current: int, dest: Point) -> int | None:
-        """Neighbor strictly closer to ``dest``, or ``None`` on dead end."""
-        positions = self.topology.positions
+        """Neighbor strictly closer to ``dest``, or ``None`` on dead end.
+
+        The distance test is inlined over plain-float coordinates: this
+        scan runs once per greedy hop and dominates the write path.  The
+        strict ``<`` keeps the first best neighbor in table order.
+        """
+        coords = self.topology.coords
+        tx, ty = dest
+        x, y = coords[current]
+        dx = x - tx
+        dy = y - ty
+        best_d = dx * dx + dy * dy
         best: int | None = None
-        best_d = distance_sq(positions[current], dest)
-        for neighbor in self.topology.neighbors(current):
-            d = distance_sq(positions[neighbor], dest)
+        for neighbor in self.topology.neighbor_table[current]:
+            x, y = coords[neighbor]
+            dx = x - tx
+            dy = y - ty
+            d = dx * dx + dy * dy
             if d < best_d:
                 best = neighbor
                 best_d = d
         return best
 
     def _enter_perimeter(self, state: PacketState, current: int) -> None:
-        here = self.topology.position(current)
+        here = Point(*self.topology.coords[current])
         state.mode = _PERIMETER
         state.entry = here
         state.face_point = here
@@ -372,34 +391,37 @@ class GPSRRouter:
 
     def _perimeter_first_edge(self, current: int, state: PacketState) -> int | None:
         """First edge counterclockwise about ``current`` from line to dest."""
-        reference = angle_of(self.topology.position(current), state.dest)
+        reference = angle_of(self.topology.coords[current], state.dest)
         return self._rhr_neighbor(current, reference)
 
     def _perimeter_next(
         self, current: int, previous: int, state: PacketState
     ) -> int | None:
         """Right-hand-rule successor with GPSR's face-change test."""
-        positions = self.topology.positions
-        here = Point(*positions[current])
-        reference = angle_of(here, positions[previous])
+        coords = self.topology.coords
+        here = coords[current]
+        reference = angle_of(here, coords[previous])
         nxt = self._rhr_neighbor(current, reference)
         if nxt is None:
             return None
         # Face change: while the chosen edge crosses Lf->D closer to D,
         # advance Lf to the crossing and take the next edge ccw instead.
         assert state.face_point is not None
+        tx, ty = state.dest
         for _ in range(len(self.planar_adjacency[current]) + 1):
             crossing = segment_intersection_point(
-                here, Point(*positions[nxt]), state.face_point, state.dest
+                here, coords[nxt], state.face_point, state.dest
             )
             if crossing is None:
                 break
-            if distance_sq(crossing, state.dest) >= distance_sq(
-                state.face_point, state.dest
-            ) - 1e-12:
+            cx, cy = crossing
+            fx, fy = state.face_point
+            cdx, cdy = cx - tx, cy - ty
+            fdx, fdy = fx - tx, fy - ty
+            if cdx * cdx + cdy * cdy >= fdx * fdx + fdy * fdy - 1e-12:
                 break
             state.face_point = crossing
-            reference = angle_of(here, positions[nxt])
+            reference = angle_of(here, coords[nxt])
             nxt = self._rhr_neighbor(current, reference)
             if nxt is None:
                 return None
@@ -415,13 +437,13 @@ class GPSRRouter:
         neighbors = self.planar_adjacency[current]
         if not neighbors:
             return None
-        here = self.topology.position(current)
-        positions = self.topology.positions
+        coords = self.topology.coords
+        here = coords[current]
         best: int | None = None
         best_sweep = math.inf
         for neighbor in neighbors:
             sweep = ccw_angle_from(
-                reference_angle, angle_of(here, positions[neighbor])
+                reference_angle, angle_of(here, coords[neighbor])
             )
             if sweep < best_sweep:
                 best = neighbor

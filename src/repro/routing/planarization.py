@@ -48,8 +48,8 @@ def _gabriel_keeps(topology: Topology, u: int, v: int) -> bool:
     KD-tree ball query around the edge midpoint, so one test costs
     ``O(witnesses)`` instead of ``O(N)``.
     """
-    positions = topology.positions
-    pu, pv = positions[u], positions[v]
+    coords = topology.coords
+    pu, pv = coords[u], coords[v]
     mid = midpoint(pu, pv)
     radius_sq = distance_sq(pu, pv) / 4.0
     # query_ball_point uses closed balls; shrink epsilon handled by the
@@ -58,7 +58,7 @@ def _gabriel_keeps(topology: Topology, u: int, v: int) -> bool:
     for w in tree.query_ball_point(list(mid), radius_sq**0.5 + 1e-9):
         if w == u or w == v or not topology.is_alive(int(w)):
             continue
-        if distance_sq(positions[w], mid) < radius_sq - 1e-12:
+        if distance_sq(coords[w], mid) < radius_sq - 1e-12:
             return False
     return True
 
@@ -69,15 +69,15 @@ def _rng_keeps(topology: Topology, u: int, v: int) -> bool:
     The edge survives iff there is no alive witness ``w`` closer to both
     endpoints than they are to each other (the "lune" is empty).
     """
-    positions = topology.positions
-    pu, pv = positions[u], positions[v]
+    coords = topology.coords
+    pu, pv = coords[u], coords[v]
     d_uv_sq = distance_sq(pu, pv)
     # Any lune witness lies within d(u, v) of u.
     tree = topology._tree
     for w in tree.query_ball_point(list(pu), d_uv_sq**0.5 + 1e-9):
         if w == u or w == v or not topology.is_alive(int(w)):
             continue
-        pw = positions[w]
+        pw = coords[w]
         if (
             distance_sq(pu, pw) < d_uv_sq - 1e-12
             and distance_sq(pv, pw) < d_uv_sq - 1e-12
@@ -160,13 +160,10 @@ def update_after_failures(
     if kind == "none":
         return list(new_topology.neighbor_table)
     CONSTRUCTION_COUNTERS.planar_updates += 1
-    positions = new_topology.positions
+    coords = new_topology.coords
     affected: set[int] = set()
     for w in sorted(failed_set):
-        x, y = positions[w]
-        affected.update(
-            new_topology.nodes_within((float(x), float(y)), new_topology.radio_range)
-        )
+        affected.update(new_topology.nodes_within(coords[w], new_topology.radio_range))
     rows: list[tuple[int, ...]] = [
         ()
         if not new_topology.is_alive(u)

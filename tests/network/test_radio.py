@@ -73,6 +73,27 @@ class TestMessageStats:
         assert tx == {1: 1, 2: 1}
         assert rx == {2: 1, 3: 1}
 
+    @pytest.mark.parametrize(
+        "path",
+        [[], [7], [4, 9], [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]],
+        ids=["empty", "one-node", "one-hop", "revisits"],
+    )
+    def test_record_path_matches_per_hop_records(self, path):
+        """The batched charge equals one ``record()`` per hop, key order too."""
+        batched = MessageStats()
+        per_hop = MessageStats()
+        for stats in (batched, per_hop):
+            stats.record(MessageCategory.DHT, sender=8, receiver=3)
+        batched.record_path(MessageCategory.INSERT, path)
+        for sender, receiver in zip(path, path[1:]):
+            per_hop.record(MessageCategory.INSERT, sender=sender, receiver=receiver)
+        assert batched.snapshot() == per_hop.snapshot()
+        assert list(batched._counts.items()) == list(per_hop._counts.items())
+        for view in ("per_node_transmissions", "per_node_receptions"):
+            assert list(getattr(batched, view)().items()) == list(
+                getattr(per_hop, view)().items()
+            )
+
 
 class TestEnergyModel:
     def test_spent_linear(self):

@@ -138,6 +138,19 @@ class TestDeliveryAtScale:
     def test_greedy_success_ratio_empty(self, router300):
         assert router300.greedy_success_ratio([]) == 1.0
 
+    def test_failed_perimeter_walk_is_not_greedy_success(self):
+        # Two clusters out of radio range: the walk enters perimeter mode,
+        # bounces inside the source cluster and is dropped undelivered.
+        positions = [(0, 0), (5, 0), (100, 0), (105, 0)]
+        router = GPSRRouter(Topology(positions, radio_range=10))
+        result = router.route(0, 3)
+        assert not result.delivered
+        assert result.modes == ("greedy", "perimeter", "perimeter")
+        assert result.perimeter_hops == 2
+        assert not result.greedy_only
+        assert router.greedy_success_ratio([(0, 3)]) == 0.0
+        assert router.greedy_success_ratio([(0, 1), (0, 3)]) == 0.5
+
 
 class TestPointDelivery:
     def test_path_to_point_ends_at_closest(self, router300):

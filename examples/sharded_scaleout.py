@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Shard one deployment across tiles — same answers, less wall-clock.
 
-The shard engine spatially partitions ONE deployment into K tiles, all
-run in the calling process: each tile owns the nodes inside it (plus a
-radio-range halo) and advances only the packets currently inside it; a
-packet that greedily forwards across a tile edge becomes a boundary
-message, delivered in the next deterministic exchange round.
+Sharding spatially partitions ONE deployment's routing into K tiles,
+all run in the calling process: each tile owns the nodes inside it and
+sees a radio-range halo around them.  The GPSR loop is the ordinary
+one; each forwarding decision is made by the tile that owns the
+packet's current node.
 
 The contract demonstrated here:
 
@@ -13,10 +13,9 @@ The contract demonstrated here:
 2. Routes, hop-for-hop, are identical to the monolithic router — even
    for pairs that cross tile boundaries (the halo guarantees each owner
    sees every neighbor of its nodes, so greedy/perimeter decisions are
-   made with full local knowledge).  The engine exposes its BSP
-   accounting: exchange rounds and boundary messages.
-3. On a full harness cell at scale, the sharded engine beats the
-   monolithic loop while producing the *same result rows* — run
+   made with full local knowledge).
+3. On a full harness cell at scale, the tiles' greedy memo beats the
+   monolithic router while producing the *same result rows* — run
    ``python -m repro.bench.scale_demo`` for the 10^4-node version
    recorded in results/BENCH_scale_demo.json.
 
@@ -64,7 +63,7 @@ def show_equivalence() -> None:
     pairs = pinned_pairs(ROUTE_NODES, ROUTES)
 
     sharded = mono.shard(SHARDS)
-    plan = sharded.plan
+    plan = sharded.router.plan
     print(f"field {mono.topology.field.width:.0f}x"
           f"{mono.topology.field.height:.0f} split into "
           f"{plan.tiles_x}x{plan.tiles_y} tiles "
@@ -81,11 +80,6 @@ def show_equivalence() -> None:
     print(f"\n{ROUTES} routes ({crossing} cross a tile boundary): "
           f"{identical}/{ROUTES} identical to the monolithic router")
     assert identical == ROUTES, "sharded routing diverged!"
-
-    engine = sharded.engine
-    print(f"engine: {engine.packets_routed} packets, "
-          f"{engine.exchange_rounds} exchange rounds, "
-          f"{engine.boundary_messages} boundary messages")
 
 
 def cell_config(shards: int) -> ExperimentConfig:

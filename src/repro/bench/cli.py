@@ -135,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="K",
         help=(
-            "spatially partition each cell's deployment across K "
-            "in-process tiles (shard-aware engine); rows, ledgers and "
-            "telemetry are byte-identical to --shards 1 for the same seed"
+            "spatially partition each cell's routing across K "
+            "in-process tiles (each GPSR decision runs on the tile owning "
+            "the current node); rows, ledgers and telemetry are "
+            "byte-identical to --shards 1 for the same seed"
         ),
     )
     parser.add_argument(
@@ -546,13 +547,7 @@ def main(argv: list[str] | None = None) -> int:
             handle.write(to_json(results))
         print(f"JSON written to {args.json}", file=sys.stderr)
     if args.telemetry:
-        header_fields: dict[str, Any] = {"seed": args.seed}
-        if args.shards != 1:
-            # Tagged so readers can tell a sharded export apart; the
-            # shard merge (python -m repro.shard.merge) strips it before
-            # byte-comparison against a --shards 1 export.
-            header_fields["shards"] = args.shards
-        write_telemetry_jsonl(args.telemetry, telemetry_records, **header_fields)
+        write_telemetry_jsonl(args.telemetry, telemetry_records, seed=args.seed)
         print(f"telemetry written to {args.telemetry}", file=sys.stderr)
     return 0
 

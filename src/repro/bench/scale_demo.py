@@ -1,6 +1,6 @@
 """The 10⁴-node scale demo: ``python -m repro.bench.scale_demo``.
 
-The acceptance run for the shard-aware engine: one 10⁴-node grid cell —
+The acceptance run for sharded routing: one 10⁴-node grid cell —
 more than 10× the paper's 900-node maximum — timed single-process
 (recorded as ``budget_seconds``) and with 4 shards, which must
 finish under that budget.  The record goes to
@@ -45,11 +45,11 @@ def run_scale_demo(size: int = 10_000, shards: int = 4) -> dict[str, Any]:
     """Time the 10⁴-node grid cell single-process and sharded.
 
     The single-process time is the recorded wall-clock budget; the
-    sharded run must beat it (the per-step greedy memoization in the
-    shard tiles is what makes it faster).  The margin is thin since the
-    greedy scan runs on plain floats: three runs on a 2-core host gave
-    2.49–2.63 s sharded against 2.64–3.38 s single-process (2.90–4.10 s
-    against 7.09–7.52 s with the earlier numpy-row scan).
+    sharded run must beat it (each tile memoizes greedy next hops and
+    planarizes only its own area, which is what makes it faster).  The
+    margin is thin since the greedy scan runs on plain floats: three
+    runs on a shared 2-core host gave 3.82–3.95 s sharded against
+    4.68–4.93 s single-process.
     """
     started = perf_counter()
     _run_cell(_scale_config(size, 1), 0, size, 0)

@@ -103,7 +103,7 @@ class ExperimentConfig:
             )
 
     def scaled(self, factor: float) -> "ExperimentConfig":
-        """A cheaper variant for smoke tests / pytest-benchmark runs.
+        """A cheaper variant for smoke tests and quick runs.
 
         Scales the network sweep, query count and trial count down by
         ``factor`` (at least one of each survives); used by the

@@ -31,11 +31,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.core.insertion import Placement
-from repro.core.resolve import relevant_offsets
 from repro.core.system import PoolSystem
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
-from repro.exceptions import DimensionMismatchError, QueryError
+from repro.exceptions import QueryError
 from repro.network.messages import MessageCategory
 
 __all__ = ["Subscription", "ContinuousQueryService"]
@@ -104,26 +103,18 @@ class ContinuousQueryService:
         Costs one query-forward dissemination (sink → splitters →
         relevant cells) recorded under ``QUERY_FORWARD``.
         """
-        if query.dimensions != self.system.dimensions:
-            raise DimensionMismatchError(
-                self.system.dimensions, query.dimensions, "query"
-            )
         network = self.system.network
         before = network.stats.count(MessageCategory.QUERY_FORWARD)
         cells: set[tuple[int, int, int]] = set()
-        for pool in self.system.pools:
-            offsets = relevant_offsets(query, pool.index, self.system.side_length)
-            if not offsets:
-                continue
-            destinations = {
-                self.system.index_node(pool.cell_at(ho, vo)) for ho, vo in offsets
-            }
-            splitter = self.system.splitter(sink, pool.index)
-            network.unicast(MessageCategory.QUERY_FORWARD, sink, splitter)
+        # The one-shot forward phase's legs: same roots, same destinations
+        # in the same order, so the subscription tree is that query's tree.
+        for leg in self.system.plan_query(sink, query).detail:
+            if self.system.route_via_splitter:
+                network.unicast(MessageCategory.QUERY_FORWARD, sink, leg.splitter)
             network.disseminate(
-                MessageCategory.QUERY_FORWARD, splitter, sorted(destinations)
+                MessageCategory.QUERY_FORWARD, leg.splitter, list(leg.destinations)
             )
-            cells.update((pool.index, ho, vo) for ho, vo in offsets)
+            cells.update((leg.pool, ho, vo) for ho, vo in leg.offsets)
         cost = network.stats.count(MessageCategory.QUERY_FORWARD) - before
         subscription = Subscription(
             sub_id=next(self._ids),

@@ -160,7 +160,7 @@ class _Execution:
             run.partials[node] = list(holders_events.get(node, ()))
         sink_path = sim.router.path(self.sink, splitter)
 
-        parents = {child: parent for parent, child in sorted(tree.edges)}
+        parents = tree.parents
 
         def finish_pool(pool_events: list[Event]) -> None:
             if run.done:

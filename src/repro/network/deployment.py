@@ -105,18 +105,26 @@ class Deployment:
     # ------------------------------------------------------------------ #
 
     def shard(self, shards: int) -> "Deployment":
-        """Partition this deployment across ``shards`` spatial tiles.
+        """This deployment with routing partitioned across ``shards`` tiles.
 
-        Returns a :class:`~repro.shard.deployment.ShardedDeployment` over
-        the *same* topology object whose router computes paths tile by
-        tile; routes, ledgers and telemetry stay byte-identical to this
-        deployment's.  Imported lazily so the monolithic stack never pays
-        for the shard package.
+        The derived deployment shares the *same* topology object; its
+        router is a :class:`~repro.shard.router.ShardRouter`, which runs
+        each GPSR forwarding decision on the tile owning the current
+        node.  Routes, ledgers and telemetry stay byte-identical to this
+        deployment's, and :meth:`fail_nodes` works unchanged.  Imported
+        lazily so the monolithic stack never pays for the shard package.
         """
-        from repro.shard.deployment import ShardedDeployment
+        from repro.shard.plan import ShardPlan
+        from repro.shard.router import ShardRouter
 
-        return ShardedDeployment.partition(
-            self.topology, shards, planarization=self.planarization
+        plan = ShardPlan.grid(
+            self.topology.field, shards, halo=self.topology.radio_range
+        )
+        router = ShardRouter(
+            self.topology, plan, planarization=self.planarization
+        )
+        return Deployment(
+            self.topology, planarization=self.planarization, router=router
         )
 
     # ------------------------------------------------------------------ #

@@ -274,12 +274,6 @@ class Network:
             span.annotate(destinations=len(tree.destinations))
             # Lazy, so only a real span pays for listing the tree's nodes.
             span.add_nodes(chain((tree.root,), chain.from_iterable(tree.edges)))
-            plan = getattr(self.router, "plan", None) if tel is not None else None
-            if plan is not None:
-                # Sharded runs tag the span with the tile that owns the tree
-                # root; the telemetry merge strips the tag, restoring the
-                # byte-identical unsharded record.
-                span.annotate(shard_id=plan.owner_of_position(*self.router.topology.position(src)))
             rel = self.reliability
             if rel is None:
                 self.stats.record(category, tree.forward_cost)
@@ -327,11 +321,12 @@ class Network:
             for parent, child in sorted(tree.edges)
             if child in delivery.reached
         ]
-        reply_edges.sort(key=lambda edge: (-tree.depth_of(edge[1]), edge[1]))
+        depths = tree.depths
+        reply_edges.sort(key=lambda edge: (-depths[edge[1]], edge[1]))
         hop_ok: dict[int, bool] = {}
         for parent, child in reply_edges:
             hop_ok[child] = rel.deliver_hop(category, child, parent, self.stats)
-        parents = {child: parent for parent, child in sorted(tree.edges)}
+        parents = tree.parents
         answered: set[int] = set()
         for node in sorted(delivery.reached):
             current = node

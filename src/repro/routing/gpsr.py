@@ -93,10 +93,10 @@ class PacketState:
     """The GPSR packet-header fields that drive forwarding decisions.
 
     This *is* the wire header of a GPSR packet (mode, destination, ``Lp``,
-    ``Lf``, traversed-edge memory, perimeter hop count), so it is plain
-    picklable data: a shard worker that receives a mid-flight packet from
-    a neighboring tile resumes forwarding from exactly this state, which
-    is what makes sharded routing bit-equal to the monolithic loop.
+    ``Lf``, traversed-edge memory, perimeter hop count): together with
+    the current and previous node it is everything a forwarding decision
+    reads, so any router whose view holds the current node's neighbors
+    can make the next decision.
     """
 
     dest: Point
@@ -106,8 +106,7 @@ class PacketState:
     traversed: set[tuple[int, int]] = field(default_factory=set)
     perimeter_hops: int = 0
     #: Mode of each hop taken so far (appended by ``forward_one`` on a
-    #: "hop" outcome).  Part of the header so a shard worker resuming a
-    #: mid-flight packet extends the same per-hop trace.
+    #: "hop" outcome).
     modes: list[str] = field(default_factory=list)
 
 
@@ -181,11 +180,7 @@ class GPSRRouter:
         unaffected (copy-on-write failure semantics).
         """
         failed_set = frozenset(int(n) for n in failed)
-        clone = GPSRRouter(
-            self.topology.without(failed_set),
-            planarization=self.planarization_kind,
-            ttl_factor=self.ttl_factor,
-        )
+        clone = self._derive(self.topology.without(failed_set))
         clone._path_cache = {
             key: path
             for key, path in self._path_cache.items()
@@ -201,6 +196,14 @@ class GPSRRouter:
                 self._planar, clone.topology, failed_set, self.planarization_kind
             )
         return clone
+
+    def _derive(self, topology: Topology) -> "GPSRRouter":
+        """A fresh router like this one over ``topology`` (empty caches)."""
+        return GPSRRouter(
+            topology,
+            planarization=self.planarization_kind,
+            ttl_factor=self.ttl_factor,
+        )
 
     def path(self, src: int, dst: int) -> list[int]:
         """Node path from ``src`` to ``dst``; raises on delivery failure.
@@ -254,14 +257,13 @@ class GPSRRouter:
     def forward_one(
         self, current: int, previous: int | None, state: PacketState
     ) -> tuple[StepOutcome, int | None]:
-        """One forwarding decision of the GPSR loop, resumable anywhere.
+        """One forwarding decision of the GPSR loop.
 
         Uses only ``current``'s neighbor table and the packet header, so
-        the decision is identical no matter which process executes it —
-        the shard engine calls this on whichever worker owns ``current``
-        while :meth:`route` calls it in a tight loop; both consume one TTL
-        slot per call (including ``"stay"``) and mutate ``state`` the same
-        way, which is what makes sharded paths equal monolithic ones.
+        any router whose view holds ``current``'s neighbors (and their
+        planarization witnesses) decides the same.  :meth:`route` calls
+        it once per TTL slot, ``"stay"`` included; the shard router
+        overrides it to hand the call to the tile owning ``current``.
         """
         if state.mode == _GREEDY:
             nxt = self._greedy_next(current, state.dest)
@@ -296,15 +298,6 @@ class GPSRRouter:
             state.perimeter_hops += 1
         state.modes.append(state.mode)
         return "hop", nxt
-
-    def prefetch(self, root: int, destinations: Iterable[int]) -> None:
-        """Hint that the ``root -> destination`` paths are about to be used.
-
-        The monolithic router computes paths lazily and memoizes them, so
-        there is nothing to warm here; the shard router overrides this to
-        route the whole batch through its bulk-synchronous exchange rounds
-        instead of one packet at a time.
-        """
 
     def route(self, src: int, dst: int) -> RouteResult:
         """Run the GPSR forwarding loop from ``src`` to node ``dst``."""

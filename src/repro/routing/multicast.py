@@ -28,12 +28,17 @@ class MulticastTree:
 
     ``edges`` are directed parent→child pairs; each edge carries the query
     exactly once downstream (``forward_cost``) and one aggregated reply
-    upstream (``reply_cost``).
+    upstream (``reply_cost``).  ``parents`` (child → parent, every node
+    but the root) and ``depths`` (hop depth of every node, the root at 0)
+    describe the same edges; :class:`TreeBuilder` fills them while
+    grafting, so depth queries never rebuild a parent map.
     """
 
     root: int
     destinations: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
+    parents: dict[int, int]
+    depths: dict[int, int]
 
     @property
     def forward_cost(self) -> int:
@@ -74,30 +79,11 @@ class MulticastTree:
     def height(self) -> int:
         """Hop depth of the deepest destination — the dissemination
         latency critical path (in hops) of this tree."""
-        if not self.edges:
-            return 0
-        parents = {child: parent for parent, child in self.edges}
-        best = 0
-        for node in parents:
-            depth = 0
-            current = node
-            while current != self.root:
-                current = parents[current]
-                depth += 1
-            best = max(best, depth)
-        return best
+        return max(self.depths.values())
 
     def depth_of(self, node: int) -> int:
         """Hop distance from the root to ``node`` along tree edges."""
-        if node == self.root:
-            return 0
-        parents = {child: parent for parent, child in self.edges}
-        depth = 0
-        current = node
-        while current != self.root:
-            current = parents[current]
-            depth += 1
-        return depth
+        return self.depths[node]
 
 
 @dataclass(slots=True)
@@ -144,7 +130,9 @@ class TreeBuilder:
         self.root = root
         self._edges: set[tuple[int, int]] = set()
         self._destinations: list[int] = []
-        self._reached: set[int] = {root}
+        self._parents: dict[int, int] = {}
+        # Every reached node's hop depth; the keys are the reached set.
+        self._depths: dict[int, int] = {root: 0}
 
     def add_destination(self, node: int) -> None:
         """Graft the GPSR path ``root -> node`` onto the tree.
@@ -153,7 +141,8 @@ class TreeBuilder:
         at the first node already in the tree, so shared prefixes are never
         re-added and the structure stays a tree (each node has one parent).
         """
-        if node in self._reached:
+        depths = self._depths
+        if node in depths:
             if node not in self._destinations:
                 self._destinations.append(node)
             return
@@ -163,26 +152,19 @@ class TreeBuilder:
         # Find the deepest path node already in the tree; splice from there.
         splice_index = 0
         for index, hop in enumerate(path):
-            if hop in self._reached:
+            if hop in depths:
                 splice_index = index
         for parent, child in zip(path[splice_index:], path[splice_index + 1 :]):
-            if child in self._reached:
+            if child in depths:
                 # The path re-enters the tree; keep the existing parent.
                 continue
             self._edges.add((parent, child))
-            self._reached.add(child)
+            self._parents[child] = parent
+            depths[child] = depths[parent] + 1
         self._destinations.append(node)
 
     def add_destinations(self, nodes: list[int]) -> None:
-        """Graft several destinations (deterministic order).
-
-        The batch is prefetched first — a no-op on the monolithic router,
-        but the shard router's override routes all missing paths through
-        shared bulk-synchronous exchange rounds, so a tree over K tiles
-        costs rounds proportional to its depth, not to its fan-out.  The
-        grafting below then consumes identical cached paths either way.
-        """
-        self.router.prefetch(self.root, nodes)
+        """Graft several destinations (deterministic order)."""
         for node in nodes:
             self.add_destination(node)
 
@@ -198,4 +180,6 @@ class TreeBuilder:
             root=self.root,
             destinations=tuple(self._destinations),
             edges=frozenset(self._edges),
+            parents=dict(self._parents),
+            depths=dict(self._depths),
         )

@@ -3,7 +3,7 @@
 A :class:`ShardPlan` cuts the deployment rectangle into a
 ``tiles_x x tiles_y`` grid.  Every node is *owned* by exactly one tile
 (the one containing its position; ties on tile boundaries resolve by
-coordinate truncation, identically in the scalar and vectorized paths).
+coordinate truncation).
 A tile's *members* are its owned nodes plus a halo: every node within
 ``halo`` meters of the tile rectangle.  With ``halo >= radio_range``,
 the halo contains every radio neighbor of every owned node *and* every
@@ -122,24 +122,6 @@ class ShardPlan:
             )
         return iy * self.tiles_x + ix
 
-    def owner_of_position(self, x: float, y: float) -> int:
-        """Owning shard of one point (same arithmetic as the array path)."""
-        if self.field.width:
-            ix = min(
-                max(int((x - self.field.x_min) / self.tile_width), 0),
-                self.tiles_x - 1,
-            )
-        else:
-            ix = 0
-        if self.field.height:
-            iy = min(
-                max(int((y - self.field.y_min) / self.tile_height), 0),
-                self.tiles_y - 1,
-            )
-        else:
-            iy = 0
-        return iy * self.tiles_x + ix
-
     def member_mask(self, shard: int, positions: np.ndarray) -> np.ndarray:
         """Boolean mask of the shard's members: owned nodes plus halo.
 
@@ -153,14 +135,6 @@ class ShardPlan:
         dy = np.maximum(np.maximum(rect.y_min - ys, ys - rect.y_max), 0.0)
         mask: np.ndarray = dx * dx + dy * dy <= self.halo * self.halo
         return mask
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready summary (used by the telemetry ``sharding`` block)."""
-        return {
-            "shards": self.shards,
-            "tiles": [self.tiles_x, self.tiles_y],
-            "halo": self.halo,
-        }
 
     def _validate_shard(self, shard: int) -> None:
         if not 0 <= shard < self.shards:

@@ -1,169 +1,133 @@
-"""The ShardRouter indirection: GPSR's interface, the engine's execution.
+"""The shard router: GPSR whose forwarding decisions run on tiles.
 
-:class:`ShardRouter` subclasses :class:`~repro.routing.gpsr.GPSRRouter`
-so every consumer that holds a router — the :class:`Network` facade, the
-multicast tree builder, the systems' ``hops`` accounting, the simulator —
-works unchanged; only :meth:`route` is reimplemented to dispatch packets
-through a :class:`~repro.shard.engine.ShardEngine` instead of stepping
-them in a local loop.  Errors, TTL budget, memoized paths and the
-copy-on-write failure derivation all mirror the monolithic router
-(same messages, same cache-eviction rule), so swapping routers is
-observationally invisible — which is exactly the sharding guarantee.
+:class:`ShardRouter` is a :class:`~repro.routing.gpsr.GPSRRouter` that
+overrides one method, :meth:`~ShardRouter.forward_one`: the decision at
+node ``current`` is handed to the router of the tile that owns
+``current``.  Everything else — :meth:`route`, :meth:`path`, the TTL
+budget, endpoint validation, error messages and the copy-on-write
+:meth:`without_nodes` — is inherited, so every consumer that holds a
+router works unchanged.
+
+A tile router works over a halo-padded view of the field: the global
+position array with every non-member excluded.  Three facts make the
+view sufficient for the nodes the tile owns:
+
+* excluded nodes have empty neighbor rows and appear in nobody else's
+  row, so an owned node's neighbor table equals the global one (all its
+  neighbors are within one radio range, hence inside the halo);
+* planarization treats excluded nodes as dead witnesses, and every
+  Gabriel/RNG witness of an edge incident to an owned node also lies
+  within one radio range of it, hence inside the halo;
+* greedy and perimeter decisions read only the current node's neighbor
+  table and the packet header.
+
+Each tile therefore decides exactly as the global router would, while
+memoizing greedy next hops and planarizing only its own area.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
-from repro.exceptions import DeliveryError
+from repro.exceptions import ConfigurationError
+from repro.geometry import Point
 from repro.network.topology import Topology
-from repro.routing.gpsr import GPSRRouter, RouteResult
-from repro.shard.engine import ShardEngine
+from repro.routing.gpsr import GPSRRouter, PacketState, StepOutcome
+from repro.routing.planarization import PlanarizationKind
 from repro.shard.plan import ShardPlan
-from repro.shard.view import FinishedPacket
 
 __all__ = ["ShardRouter"]
 
 
+class _MemoGPSR(GPSRRouter):
+    """A GPSR router that memoizes greedy next-hop decisions.
+
+    Greedy forwarding is Markovian — the choice depends only on
+    ``(current, dest)``, never on packet history — so the memo returns
+    exactly what the scan would.  Index-node destinations repeat across
+    thousands of inserts, which is where a tile's single-box speedup
+    comes from (perimeter decisions depend on the full header and are
+    never memoized).
+    """
+
+    def __init__(
+        self, topology: Topology, *, planarization: PlanarizationKind
+    ) -> None:
+        super().__init__(topology, planarization=planarization)
+        self._greedy_memo: dict[tuple[int, Point], int | None] = {}
+
+    def _greedy_next(self, current: int, dest: Point) -> int | None:
+        key = (current, dest)
+        try:
+            return self._greedy_memo[key]
+        except KeyError:
+            nxt = super()._greedy_next(current, dest)
+            self._greedy_memo[key] = nxt
+            return nxt
+
+
 class ShardRouter(GPSRRouter):
-    """A GPSR-compatible router that computes paths tile by tile.
+    """A GPSR router whose forwarding decisions run on shard tiles.
 
     Parameters
     ----------
-    engine:
-        The shared exchange engine (owns the tile states).
     topology:
-        The epoch's global topology view; defaults to the engine's base
-        topology (epoch 0).  Derived (failure) routers pass the degraded
-        topology plus the matching engine epoch.
+        The global deployed field (failed nodes already excluded).
+    plan:
+        The spatial tiling; its halo must be at least the radio range for
+        tile decisions to equal global ones (checked here).
     """
 
     def __init__(
         self,
-        engine: ShardEngine,
+        topology: Topology,
+        plan: ShardPlan,
         *,
-        topology: Topology | None = None,
-        epoch: int = 0,
+        planarization: PlanarizationKind = "gabriel",
         ttl_factor: int = 4,
     ) -> None:
+        if plan.halo < topology.radio_range:
+            raise ConfigurationError(
+                f"halo {plan.halo} is narrower than the radio range "
+                f"{topology.radio_range}; boundary decisions would diverge"
+            )
         super().__init__(
-            topology if topology is not None else engine.topology,
-            planarization=engine.planarization,
-            ttl_factor=ttl_factor,
+            topology, planarization=planarization, ttl_factor=ttl_factor
         )
-        self.engine = engine
-        self.epoch = epoch
-        # Failures discovered by prefetch, replayed by path() in graft
-        # order so batched routing raises exactly where lazy routing does.
-        self._prefetch_failures: dict[tuple[int, int], FinishedPacket] = {}
+        self.plan = plan
+        self._owner: list[int] = plan.owner_of_nodes(topology.positions).tolist()
+        # Tile routers, built on first use: a tile no packet enters is
+        # never planarized.
+        self._tiles: dict[int, GPSRRouter] = {}
 
-    @property
-    def plan(self) -> ShardPlan:
-        """The spatial tiling this router executes over."""
-        return self.engine.plan
+    def forward_one(
+        self, current: int, previous: int | None, state: PacketState
+    ) -> tuple[StepOutcome, int | None]:
+        """The decision at ``current``, made by the tile that owns it."""
+        shard = self._owner[current]
+        tile = self._tiles.get(shard)
+        if tile is None:
+            tile = self._tiles[shard] = self._tile(shard)
+        return tile.forward_one(current, previous, state)
 
-    # ------------------------------------------------------------------ #
-    # GPSR API, re-routed through the engine                             #
-    # ------------------------------------------------------------------ #
+    def _tile(self, shard: int) -> GPSRRouter:
+        """A memoizing router over ``shard``'s halo-padded view."""
+        topology = self.topology
+        members = self.plan.member_mask(shard, topology.positions)
+        view = Topology(
+            topology.positions,
+            topology.radio_range,
+            field=topology.field,
+            excluded=topology.excluded.union(
+                int(node) for node in np.flatnonzero(~members)
+            ),
+        )
+        return _MemoGPSR(view, planarization=self.planarization_kind)
 
-    def route(self, src: int, dst: int) -> RouteResult:
-        """One request through the exchange engine (monolithic semantics)."""
-        self._validate_node(src)
-        self._validate_node(dst)
-        if src == dst:
-            return RouteResult([src], delivered=True)
-        done = self.engine.route_batch([(src, dst)], epoch=self.epoch)[0]
-        return self._to_result(src, dst, done)
-
-    def path(self, src: int, dst: int) -> list[int]:
-        """Memoized path with prefetch-failure replay (same errors)."""
-        if src != dst and (src, dst) not in self._path_cache:
-            failure = self._prefetch_failures.get((src, dst))
-            if failure is not None:
-                self._raise_failure(src, dst, failure)
-        return super().path(src, dst)
-
-    def prefetch(self, root: int, destinations: Iterable[int]) -> None:
-        """Route a whole destination batch in shared exchange rounds.
-
-        Delivered paths land in the ordinary path cache; failures are
-        parked and re-raised by :meth:`path` when (and if) the consumer
-        actually asks for that pair, preserving lazy error order.
-        Endpoints the monolithic router would reject are skipped so
-        validation also happens lazily.
-        """
-        pairs: list[tuple[int, int]] = []
-        for node in destinations:
-            dst = int(node)
-            key = (root, dst)
-            if root == dst or key in self._path_cache:
-                continue
-            if key in self._prefetch_failures:
-                continue
-            if not (
-                self.topology.is_alive(root) and self.topology.is_alive(dst)
-            ):
-                continue
-            pairs.append(key)
-        if not pairs:
-            return
-        for (src, dst), done in zip(
-            pairs, self.engine.route_batch(pairs, epoch=self.epoch)
-        ):
-            if done.status == "delivered":
-                self._path_cache[(src, dst)] = done.path
-                self._mode_cache[(src, dst)] = done.modes
-            else:
-                self._prefetch_failures[(src, dst)] = done
-
-    def without_nodes(self, failed: Iterable[int]) -> "ShardRouter":
-        """A derived router over the degraded field, same engine.
-
-        Mirrors :meth:`GPSRRouter.without_nodes`: surviving cached paths
-        are kept, and the engine registers (or reuses) a failure epoch so
-        tiles rebuild their halo views against the same excluded set.
-        """
-        failed_set = frozenset(int(n) for n in failed)
-        topology = self.topology.without(failed_set)
-        clone = ShardRouter(
-            self.engine,
-            topology=topology,
-            epoch=self.engine.derive_epoch(topology.excluded),
+    def _derive(self, topology: Topology) -> "ShardRouter":
+        return ShardRouter(
+            topology,
+            self.plan,
+            planarization=self.planarization_kind,
             ttl_factor=self.ttl_factor,
         )
-        clone._path_cache = {
-            key: path
-            for key, path in self._path_cache.items()
-            if failed_set.isdisjoint(path)
-        }
-        clone._mode_cache = {
-            key: self._mode_cache[key]
-            for key in clone._path_cache
-            if key in self._mode_cache
-        }
-        return clone
-
-    # ------------------------------------------------------------------ #
-    # Outcome translation                                                #
-    # ------------------------------------------------------------------ #
-
-    def _to_result(self, src: int, dst: int, done: FinishedPacket) -> RouteResult:
-        if done.status == "delivered":
-            return RouteResult(
-                done.path,
-                delivered=True,
-                perimeter_hops=done.perimeter_hops,
-                modes=done.modes,
-            )
-        if done.status == "undelivered":
-            return RouteResult(done.path, delivered=False, modes=done.modes)
-        raise DeliveryError(
-            f"TTL ({self.ttl}) exceeded routing {src} -> {dst}", done.path
-        )
-
-    def _raise_failure(self, src: int, dst: int, done: FinishedPacket) -> None:
-        if done.status == "ttl":
-            raise DeliveryError(
-                f"TTL ({self.ttl}) exceeded routing {src} -> {dst}", done.path
-            )
-        raise DeliveryError(f"GPSR could not deliver {src} -> {dst}", done.path)

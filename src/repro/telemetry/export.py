@@ -135,22 +135,6 @@ def collect_system_record(
         record["flight_recorder"] = flight.as_dict()
     if reliability is not None:
         record["reliability"] = reliability.snapshot()
-    router = network.router
-    plan = getattr(router, "plan", None)
-    engine = getattr(router, "engine", None)
-    if plan is not None and engine is not None:
-        # Shard-aware runs describe their tiling and the engine's
-        # cumulative exchange counters (the deployment — and hence the
-        # engine — is shared by every system in the cell, so these are
-        # snapshots of the shared engine, not per-system deltas).  The
-        # telemetry merge (python -m repro.shard.merge) strips this block,
-        # restoring byte-identity with the --shards 1 export.
-        record["sharding"] = {
-            "plan": plan.as_dict(),
-            "exchange_rounds": engine.exchange_rounds,
-            "boundary_messages": engine.boundary_messages,
-            "packets_routed": engine.packets_routed,
-        }
     return record
 
 

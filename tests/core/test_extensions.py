@@ -19,6 +19,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.network.network import Network
+from repro.network.topology import deploy_uniform
 
 
 @pytest.fixture
@@ -145,6 +146,20 @@ class TestContinuousQueries:
         service = ContinuousQueryService(pool)
         with pytest.raises(DimensionMismatchError):
             service.register(0, RangeQuery.of((0.0, 1.0)))
+
+    @pytest.mark.parametrize("via_splitter", [True, False])
+    def test_registration_costs_the_one_shot_forward_phase(self, via_splitter):
+        # The subscription is disseminated along the one-shot query's
+        # legs, so it builds the same trees and is charged the same.
+        topology = deploy_uniform(300, seed=5)
+        pool = PoolSystem(
+            Network(topology), 3, seed=5, route_via_splitter=via_splitter
+        )
+        for event in generate_events(300, 3, seed=2, sources=list(topology)):
+            pool.insert(event)
+        query = RangeQuery.partial(3, {0: (0.2, 0.6)})
+        sub = ContinuousQueryService(pool).register(0, query)
+        assert sub.registration_cost == pool.query(0, query).forward_cost
 
     def test_local_match_costs_no_notify_message(self, topo300):
         pool = PoolSystem(Network(topo300), 3, seed=1)

@@ -6,8 +6,7 @@ Each scenario is one ``pool-bench`` command line, run in-process through
 * ``rerun``  — the same command twice;
 * ``jobs``   — ``--jobs 1`` vs ``--jobs 2`` over at least two (size, trial)
   cells, so the parallel merge really combines worker results;
-* ``shards`` — ``--shards 1`` vs ``--shards 4``, both telemetry exports
-  normalized by ``python -m repro.shard.merge`` first.
+* ``shards`` — ``--shards 1`` vs ``--shards 4``.
 
 Every artifact compares byte for byte: the telemetry JSONL, the serve SLO
 report and the chaos fault plan as written, and the results JSON with each
@@ -35,7 +34,6 @@ from repro.bench.cli import main as bench_main
 from repro.obs.diff import main as diff_main
 from repro.obs.flame import main as flame_main
 from repro.serve.chaos import _main as chaos_main
-from repro.shard.merge import main as merge_main
 from repro.telemetry.export import read_telemetry_jsonl
 
 ALL_AXES = ("rerun", "jobs", "shards")
@@ -177,22 +175,8 @@ def test_jobs_2_equals_jobs_1(capture, name):
 
 
 @pytest.mark.parametrize("name", _having("shards"))
-def test_shards_4_equals_shards_1_after_merge(capture, tmp_path, name):
-    mono, sharded = capture(name), capture(name, "shards")
-    assert any("sharding" in record for record in _records(sharded))
-    assert _rows(sharded) == _rows(mono)
-    merged = []
-    for run in (mono, sharded):
-        out = tmp_path / f"{run.name}.jsonl"
-        assert merge_main([str(run / "telemetry.jsonl"), str(out)]) == 0
-        merged.append(out.read_bytes())
-    assert merged[0] == merged[1]
-
-
-@pytest.mark.parametrize("argv", [[], ["in.jsonl"], ["a", "b", "c"]])
-def test_merge_cli_usage_error(argv, capsys):
-    assert merge_main(argv) == 2
-    assert "usage:" in capsys.readouterr().err
+def test_shards_4_equals_shards_1(capture, name):
+    _assert_identical(capture(name), capture(name, "shards"))
 
 
 # --------------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 With the recorder off, captures are byte-identical to a build that
 predates it.  That the ring itself is byte-identical across reruns,
-``--jobs`` and ``--shards`` (after ``repro.shard.merge``) is checked by
-the ``fig7a-flight`` row of ``tests/integration/test_determinism.py``.
+``--jobs`` and ``--shards`` is checked by the ``fig7a-flight`` row of
+``tests/integration/test_determinism.py``.
 """
 
 from __future__ import annotations

@@ -152,9 +152,10 @@ class TestRealTree:
         assert len(plan_impls) == 6
 
     def test_shard_entrypoints_resolve(self, graph) -> None:
-        # Tiles run in-process; the tile advance loop is the real tree's
-        # shard entry point.
-        entry = "repro.shard.view.ShardWorkerState.advance"
+        # The shard router hands each decision to a tile router, so its
+        # forward_one reaches the GPSR forwarding rules.
+        entry = "repro.shard.router.ShardRouter.forward_one"
         assert entry in graph.functions
         reached = graph.reachable_from([entry], weak=True)
+        assert "repro.routing.gpsr.GPSRRouter.forward_one" in reached
         assert len(reached) > 10

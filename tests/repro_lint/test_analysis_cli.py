@@ -144,7 +144,7 @@ class TestCacheAndListing:
     def test_list_rules_mentions_analysis_rules(self, capsys) -> None:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP101", "REP102", "REP103", "REP104"):
+        for code in ("REP101", "REP102", "REP103"):
             assert code in out
         assert "--analyze" in out
 
@@ -156,7 +156,7 @@ class TestCacheAndListing:
 
     def test_select_restricts_analysis_rules(self, tmp_path: Path, capsys) -> None:
         root = _project(tmp_path, UNCHARGED)
-        args = _analyze_args(root, tmp_path / "bl", "--select", "REP104")
+        args = _analyze_args(root, tmp_path / "bl", "--select", "REP103")
         assert main(args) == 0
         assert capsys.readouterr().out == ""
 

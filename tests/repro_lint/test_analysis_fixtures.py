@@ -79,4 +79,4 @@ def test_corpus_covers_every_analysis_rule() -> None:
         if name.endswith("_bad")
         for (_, _, code) in _expected(FIXTURES / name)
     }
-    assert covered == {"REP101", "REP102", "REP103", "REP104"}
+    assert covered == {"REP101", "REP102", "REP103"}

@@ -1,20 +1,17 @@
 """End-to-end shards-1-vs-K equivalence through the experiment harness.
 
-The acceptance bar for the shard-aware engine: result rows, ledgers and
+The acceptance bar for sharded routing: result rows, ledgers and
 telemetry of a ``--shards K`` run are *byte-identical* to ``--shards 1``
 for the same seed — under perfect links and under a lossy channel.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.bench.harness import run_experiment
 from repro.bench.workloads import ExperimentConfig
 from repro.events.generators import QueryWorkload
-from repro.shard.merge import merge_shard_records
 from repro.telemetry.export import write_telemetry_jsonl
 
 
@@ -58,61 +55,14 @@ class TestRowEquivalence:
 
 
 class TestTelemetryByteEquivalence:
-    def test_jsonl_exports_identical_after_merge(self, tmp_path):
+    def test_jsonl_exports_identical(self, tmp_path):
         mono = run_experiment(_config(1), seed=3, telemetry=True)
         sharded = run_experiment(_config(4), seed=3, telemetry=True)
-        # Sharded records carry a "sharding" block and shard_id span tags.
-        assert any("sharding" in record for record in sharded.telemetry)
-        assert not any("sharding" in record for record in mono.telemetry)
         mono_path = tmp_path / "mono.jsonl"
         sharded_path = tmp_path / "sharded.jsonl"
-        write_telemetry_jsonl(
-            mono_path, merge_shard_records(mono.telemetry), seed=3
-        )
-        write_telemetry_jsonl(
-            sharded_path, merge_shard_records(sharded.telemetry), seed=3
-        )
+        write_telemetry_jsonl(mono_path, mono.telemetry, seed=3)
+        write_telemetry_jsonl(sharded_path, sharded.telemetry, seed=3)
         assert mono_path.read_bytes() == sharded_path.read_bytes()
-
-    def test_merge_is_idempotent_on_unsharded_records(self):
-        mono = run_experiment(_config(1), seed=5, telemetry=True)
-        once = merge_shard_records(mono.telemetry)
-        twice = merge_shard_records(once)
-        assert json.dumps(once, sort_keys=True) == json.dumps(
-            twice, sort_keys=True
-        )
-
-    def test_sharding_block_shape(self):
-        sharded = run_experiment(_config(4), seed=3, telemetry=True)
-        block = sharded.telemetry[0]["sharding"]
-        assert block["plan"]["shards"] == 4
-        assert block["exchange_rounds"] >= 1
-        assert block["packets_routed"] >= 1
-
-
-class TestShardIdTags:
-    def test_fanout_spans_are_tagged_and_merge_strips_them(self):
-        sharded = run_experiment(_config(4), seed=3, telemetry=True)
-
-        def spans(record):
-            stack = list(record["spans"])
-            while stack:
-                span = stack.pop()
-                yield span
-                stack.extend(span.get("children", ()))
-
-        tagged = [
-            span
-            for record in sharded.telemetry
-            for span in spans(record)
-            if span.get("name") == "cell-fanout"
-        ]
-        assert tagged, "expected cell-fanout spans in the telemetry"
-        assert all("shard_id" in span.get("attrs", {}) for span in tagged)
-        merged = merge_shard_records(sharded.telemetry)
-        for record in merged:
-            for span in spans(record):
-                assert "shard_id" not in span.get("attrs", {})
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -54,13 +54,6 @@ class TestOwnership:
         assert owner.shape == (topo300.size,)
         assert ((0 <= owner) & (owner < plan.shards)).all()
 
-    def test_scalar_owner_matches_vectorized(self, topo300):
-        plan = ShardPlan.grid(topo300.field, 6, halo=topo300.radio_range)
-        owner = plan.owner_of_nodes(topo300.positions)
-        for node in range(topo300.size):
-            x, y = topo300.positions[node]
-            assert plan.owner_of_position(float(x), float(y)) == owner[node]
-
     def test_owned_node_inside_its_tile(self, topo300):
         plan = ShardPlan.grid(topo300.field, 4, halo=topo300.radio_range)
         owner = plan.owner_of_nodes(topo300.positions)
@@ -93,6 +86,3 @@ class TestHalo:
                         f"from shard {shard}'s halo"
                     )
 
-    def test_as_dict(self):
-        plan = ShardPlan.grid(FIELD, 4, halo=40.0)
-        assert plan.as_dict() == {"shards": 4, "tiles": [2, 2], "halo": 40.0}

@@ -2,7 +2,7 @@
 
 Where :mod:`repro_lint.rules` checks one file at a time, this package
 builds a project-wide module/call graph and runs *interprocedural*,
-dataflow-aware checks over it — the four REP10x rule families:
+dataflow-aware checks over it — the three REP10x rule families:
 
 ========  ==============================================================
 REP101    Ledger conservation: every computed route is charged to the
@@ -13,8 +13,6 @@ REP102    RNG-stream collisions: two ``derive(seed, ...)`` call sites
 REP103    Wall-clock taint: host-time readings (including the otherwise
           legal ``time.perf_counter``) flowing into the simulated
           serving layer (``SimClock``, schedules, caches, SLO reports).
-REP104    Shard purity: code reachable from shard-worker entry points
-          must not write module-level (process-shared) mutable state.
 ========  ==============================================================
 
 Entry point: :func:`repro_lint.analysis.engine.run_analysis`, surfaced on

@@ -12,17 +12,17 @@ power.  Edges come from, in decreasing confidence:
 3. **Protocol resolution** — a method call on a receiver typed as a
    :class:`typing.Protocol` (e.g. ``StagedQuerySystem``) fans out to
    that method on *every implementing class* — the edge that lets the
-   ledger and purity rules see through ``run_staged``-style dispatch.
+   ledger rule see through ``run_staged``-style dispatch.
 4. **By-name fallback** (``weak=True``) — a method call on an unknown
    receiver links to every project class declaring that method, but only
    when few classes do (:data:`BY_NAME_LIMIT`); common names like
    ``get``/``close`` stay unresolved rather than connecting everything
    to everything.
 
-Reachability-style rules (shard purity) traverse weak edges too —
-missing an edge there hides a real violation; value-flow rules (ledger
-conservation) stick to strong edges, where an over-approximate edge
-would fabricate one.
+Reachability queries (:meth:`CallGraph.reachable_from`) traverse weak
+edges by default — there a missed edge hides a real caller; value-flow
+rules (ledger conservation) stick to strong edges, where an
+over-approximate edge would fabricate a finding.
 """
 
 from __future__ import annotations

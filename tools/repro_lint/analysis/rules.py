@@ -14,7 +14,6 @@ from repro_lint.analysis.callgraph import CallGraph
 from repro_lint.analysis.constprop import ConstEnv
 from repro_lint.analysis.ledger import check_ledger_conservation
 from repro_lint.analysis.project import Project
-from repro_lint.analysis.purity import check_shard_purity
 from repro_lint.analysis.rngstreams import check_rng_streams
 from repro_lint.analysis.taint import check_wallclock_taint
 from repro_lint.config import Config
@@ -43,12 +42,10 @@ ANALYSIS_RULE_SUMMARIES: dict[str, str] = {
     "REP101": "computed hop path not charged to the ledger exactly once",
     "REP102": "two derive() call sites can produce the same RNG stream",
     "REP103": "wall-clock reading flows into the simulated serve layer",
-    "REP104": "shard-worker-reachable code writes process-shared state",
 }
 
 ANALYSIS_RULES: dict[str, AnalysisRuleFn] = {
     "REP101": check_ledger_conservation,
     "REP102": check_rng_streams,
     "REP103": check_wallclock_taint,
-    "REP104": check_shard_purity,
 }

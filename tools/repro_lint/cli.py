@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze",
         action="store_true",
         help=(
-            "run the whole-program REP101-REP104 rules (call graph + "
+            "run the whole-program REP101-REP103 rules (call graph + "
             "dataflow) instead of the per-file rules"
         ),
     )

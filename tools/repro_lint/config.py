@@ -67,9 +67,6 @@ class Config:
     )
     #: REP005 — the accounting layer that owns ledger internals.
     rep005_allow: tuple[str, ...] = ("src/repro/network/",)
-    #: REP006 — cross-shard merge modules, where dict insertion order
-    #: reflects shard arrival order and every fold must sort explicitly.
-    rep006_paths: tuple[str, ...] = ("src/repro/shard/merge.py",)
 
     # ---- whole-program (--analyze) rule families ---------------------- #
 
@@ -91,16 +88,6 @@ class Config:
     #: REP103 — where wall-clock-taint flows into the serve layer are
     #: reported.
     rep103_paths: tuple[str, ...] = ("src/",)
-    #: REP104 — where shard-purity findings are reported.
-    rep104_paths: tuple[str, ...] = ("src/",)
-    #: REP104 — shard-worker entry points, matched as dotted-qualname
-    #: suffixes against the call graph (module names have ``src/``
-    #: stripped, so ``repro.shard.engine._worker_main`` matches both the
-    #: real tree and a fixture mirroring its layout).
-    rep104_entrypoints: tuple[str, ...] = (
-        "repro.shard.engine._worker_main",
-        "repro.shard.view.ShardWorkerState.advance",
-    )
 
     def merged_with(self, overrides: dict[str, object]) -> "Config":
         """A copy with ``overrides`` (pyproject table entries) applied."""

@@ -1,4 +1,4 @@
-"""The six reproduction invariants, as AST rules.
+"""The five per-file reproduction invariants, as AST rules.
 
 Each rule is a callable ``rule(tree, path, config) -> list[Violation]``; the
 registry :data:`ALL_RULES` maps code to implementation.  Rules are pure
@@ -37,7 +37,6 @@ RULE_SUMMARIES: dict[str, str] = {
     "REP003": "iteration over an unordered set in an order-sensitive package",
     "REP004": "float == / != in a geometric predicate module",
     "REP005": "ledger counters mutated outside the accounting layer",
-    "REP006": "dict iterated in insertion order inside a cross-shard merge module",
 }
 
 
@@ -560,148 +559,6 @@ def check_rep005(tree: ast.Module, path: str, config: Config) -> list[Violation]
     return out
 
 
-# --------------------------------------------------------------------------- #
-# REP006 — dict-order merges in cross-shard folding                            #
-# --------------------------------------------------------------------------- #
-
-_DICT_ANNOTATIONS = (
-    "dict",
-    "Dict",
-    "Mapping",
-    "MutableMapping",
-    "defaultdict",
-    "OrderedDict",
-    "Counter",
-)
-_DICT_CONSTRUCTORS = frozenset({"dict", "defaultdict", "OrderedDict", "Counter"})
-_DICT_VIEWS = frozenset({"items", "keys", "values"})
-
-
-def _annotation_is_dict(annotation: ast.expr) -> bool:
-    target = annotation
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    name = _dotted(target)
-    return name is not None and name.split(".")[-1] in _DICT_ANNOTATIONS
-
-
-def _is_dictish(node: ast.expr, dict_names: frozenset[str]) -> bool:
-    """Whether ``node`` statically looks like a dict expression."""
-    if isinstance(node, (ast.Dict, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        if node.func.id in _DICT_CONSTRUCTORS:
-            return True
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        # PEP 584 dict merge: `left | right` — the canonical way two
-        # shard-local maps get folded into one.
-        return _is_dictish(node.left, dict_names) or _is_dictish(
-            node.right, dict_names
-        )
-    if isinstance(node, ast.Name):
-        return node.id in dict_names
-    return False
-
-
-def _dict_names(scope: _Scope) -> frozenset[str]:
-    """Names only ever bound to dict-typed values in ``scope`` (fixpoint)."""
-    params: set[str] = set()
-    if isinstance(scope.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        arguments = scope.node.args
-        for arg in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs):
-            if arg.annotation is not None and _annotation_is_dict(arg.annotation):
-                params.add(arg.arg)
-    known: frozenset[str] = frozenset(params)
-    for _ in range(4):  # alias chains deeper than this do not occur
-        dictish: set[str] = set(params)
-        disqualified: set[str] = set()
-        for node in scope.statements:
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if _annotation_is_dict(node.annotation):
-                    dictish.add(node.target.id)
-                else:
-                    disqualified.add(node.target.id)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    if _is_dictish(node.value, known):
-                        dictish.add(target.id)
-                    else:
-                        disqualified.add(target.id)
-        result = frozenset(dictish - disqualified)
-        if result == known:
-            break
-        known = result
-    return known
-
-
-def _dict_iterable(node: ast.expr, dict_names: frozenset[str]) -> str | None:
-    """Why ``node`` iterates in dict insertion order, or ``None``.
-
-    Either the expression is itself dict-typed (iterating keys) or it is
-    an ``.items()`` / ``.keys()`` / ``.values()`` view over one.
-    """
-    if _is_dictish(node, dict_names):
-        return "a dict"
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in _DICT_VIEWS
-        and not node.args
-        and _is_dictish(node.func.value, dict_names)
-    ):
-        return f"a dict .{node.func.attr}() view"
-    return None
-
-
-def check_rep006(tree: ast.Module, path: str, config: Config) -> list[Violation]:
-    """No insertion-order dict iteration in cross-shard merge modules.
-
-    A dict built while folding per-shard results carries its insertion
-    order — which reflects shard arrival order, exactly the nondeterminism
-    the shards-1-vs-K byte-equality guarantee forbids.  Every iteration in
-    a merge module must impose an explicit order: ``sorted(mapping)`` /
-    ``sorted(mapping.items())``, never the bare mapping or its views.
-    """
-    if not path_matches(path, config.rep006_paths):
-        return []
-    out: list[Violation] = []
-
-    def flag(node: ast.expr, context: str, what: str) -> None:
-        out.append(
-            Violation(
-                path,
-                node.lineno,
-                node.col_offset,
-                "REP006",
-                f"{context} iterates {what} in insertion order inside a "
-                "cross-shard merge module; iterate sorted(...) so the fold "
-                "is independent of shard arrival order",
-            )
-        )
-
-    for scope in _iter_scopes(tree):
-        names = _dict_names(scope)
-        for node in scope.statements:
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                what = _dict_iterable(node.iter, names)
-                if what is not None:
-                    flag(node.iter, "'for' loop", what)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for generator in node.generators:
-                    what = _dict_iterable(generator.iter, names)
-                    if what is not None:
-                        flag(generator.iter, "comprehension", what)
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id in ("list", "tuple") and len(node.args) == 1:
-                    what = _dict_iterable(node.args[0], names)
-                    if what is not None:
-                        flag(node.args[0], f"{node.func.id}(...) conversion", what)
-    return out
-
-
 RuleFn = Callable[[ast.Module, str, Config], list[Violation]]
 
 ALL_RULES: dict[str, RuleFn] = {
@@ -710,5 +567,4 @@ ALL_RULES: dict[str, RuleFn] = {
     "REP003": check_rep003,
     "REP004": check_rep004,
     "REP005": check_rep005,
-    "REP006": check_rep006,
 }

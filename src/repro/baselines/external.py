@@ -14,6 +14,7 @@ from typing import Callable
 from repro.dcs import InsertReceipt, QueryResult, resolve_result
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
+from repro.events.table import EventTable
 from repro.exceptions import DimensionMismatchError, UnreachableError
 from repro.exec import (
     WAREHOUSE_CELL,
@@ -52,7 +53,8 @@ class ExternalStorage:
             if sink is not None
             else network.closest_node(network.topology.field.center)
         )
-        self._events: list[Event] = []
+        # Every event the warehouse holds; its rows are 0..n-1.
+        self._table = EventTable(dimensions)
         # Called after every delivered event with
         # (WAREHOUSE_CELL, event, warehouse_node): the warehouse is the
         # single cell, so every insert invalidates every cached plan.
@@ -78,7 +80,7 @@ class ExternalStorage:
                 detail="warehouse",
                 delivered=False,
             )
-        self._events.append(event)
+        self._table.append(event)
         for listener in self.insert_listeners:
             listener(WAREHOUSE_CELL, event, self.sink)
         return InsertReceipt(
@@ -148,7 +150,11 @@ class ExternalStorage:
         """Scan the warehouse store — only if its reply made it back."""
         query: RangeQuery = plan.query
         warehouse_answered = self.sink in execution.answered
-        events = query.filter(self._events) if warehouse_answered else []
+        events = (
+            self._table.select(query, [range(len(self._table))])
+            if warehouse_answered
+            else []
+        )
         return resolve_result(
             events=events,
             forward_cost=execution.forward_cost,
@@ -172,11 +178,11 @@ class ExternalStorage:
     @property
     def stored_events(self) -> int:
         """Total events held at the warehouse."""
-        return len(self._events)
+        return len(self._table)
 
     def storage_distribution(self) -> dict[int, int]:
         """Everything piles onto the warehouse node — the point of the
         baseline, and the worst possible hotspot profile."""
-        if not self._events:
+        if not len(self._table):
             return {}
-        return {self.sink: len(self._events)}
+        return {self.sink: len(self._table)}

@@ -19,6 +19,7 @@ from typing import Callable
 from repro.dcs import InsertReceipt, QueryResult, resolve_result
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
+from repro.events.table import EventTable
 from repro.exceptions import DimensionMismatchError
 from repro.exceptions import UnreachableError
 from repro.exec import (
@@ -40,8 +41,10 @@ class LocalStorageFlooding:
     def __init__(self, network: Network, dimensions: int) -> None:
         self.network = network.scope("flooding")
         self.dimensions = dimensions
-        self._storage: dict[int, list[Event]] = {}
-        self._event_count = 0
+        # Row ids held per detecting node, and each row's holder.
+        self._table = EventTable(dimensions)
+        self._storage: dict[int, list[int]] = {}
+        self._holders: list[int] = []
         # Called after every stored event with (ALL_CELLS, event, node):
         # with no index, any node may answer any query, so every insert
         # invalidates every cached plan.
@@ -58,8 +61,8 @@ class LocalStorageFlooding:
         src = source if source is not None else event.source
         if src is None:
             src = 0
-        self._storage.setdefault(src, []).append(event)
-        self._event_count += 1
+        self._storage.setdefault(src, []).append(self._table.append(event))
+        self._holders.append(src)
         for listener in self.insert_listeners:
             listener(ALL_CELLS, event, src)
         return InsertReceipt(home_node=src, hops=0, detail="local")
@@ -94,7 +97,9 @@ class LocalStorageFlooding:
 
         The responder scan happens here (not at planning) because the
         reply messages are data-dependent: which nodes unicast back is
-        decided by their stored matches at execution time.
+        decided by their stored matches at execution time.  One kernel
+        call scans every node's rows, chained in storage order, so the
+        matches come out grouped by holder in that order.
         """
         query: RangeQuery = plan.query
         sink = plan.sink
@@ -103,27 +108,26 @@ class LocalStorageFlooding:
         # is unaffected by unicast loss; only the GPSR reply legs are.
         forward_cost = self.network.size
         self.network.stats.record(MessageCategory.QUERY_FORWARD, forward_cost)
-        events: list[Event] = []
+        holders = self._holders
+        matched = self._table.matching_rows(query, self._storage.values())
+        responders = list(dict.fromkeys(holders[row] for row in matched))
         reply_cost = 0
-        responders: list[int] = []
         lost_responders: list[int] = []
-        for node, stored in self._storage.items():
-            matches = query.filter(stored)
-            if not matches:
+        for node in responders:
+            if node == sink:
                 continue
-            responders.append(node)
-            if node != sink:
-                try:
-                    path = self.network.unicast(
-                        MessageCategory.QUERY_REPLY, node, sink
-                    )
-                except UnreachableError as err:
-                    # This responder's matches never reached the sink.
-                    reply_cost += max(len(err.partial_path) - 1, 0)
-                    lost_responders.append(node)
-                    continue
-                reply_cost += len(path) - 1
-            events.extend(matches)
+            try:
+                path = self.network.unicast(MessageCategory.QUERY_REPLY, node, sink)
+            except UnreachableError as err:
+                # This responder's matches never reached the sink.
+                reply_cost += max(len(err.partial_path) - 1, 0)
+                lost_responders.append(node)
+                continue
+            reply_cost += len(path) - 1
+        if lost_responders:
+            lost = set(lost_responders)
+            matched = [row for row in matched if holders[row] not in lost]
+        events = self._table.events(matched)
         return Execution(
             forward_cost=forward_cost,
             reply_cost=reply_cost,
@@ -157,12 +161,8 @@ class LocalStorageFlooding:
     @property
     def stored_events(self) -> int:
         """Total events currently stored."""
-        return self._event_count
+        return len(self._table)
 
     def storage_distribution(self) -> dict[int, int]:
         """Events per node — trivially the detection distribution."""
-        return {
-            node: len(events)
-            for node, events in self._storage.items()
-            if events
-        }
+        return {node: len(rows) for node, rows in self._storage.items() if rows}

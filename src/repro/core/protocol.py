@@ -27,7 +27,6 @@ need global knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.core.system import PoolLegPlan, PoolSystem
@@ -116,18 +115,19 @@ class _Execution:
         ).detail
         self.outstanding_pools = self.pools_visited = len(legs)
         for leg in legs:
-            holders_segments: dict[int, list[list[Event]]] = {}
+            holders_rows: dict[int, list[list[int]]] = {}
             for ho, vo in leg.offsets:
                 store = self.system._stores.get((leg.pool, ho, vo))
                 if store is None:
                     continue
                 for segment in store.segments_overlapping(leg.vertical):
-                    holders_segments.setdefault(segment.node, []).append(
-                        segment.events
+                    holders_rows.setdefault(segment.node, []).append(
+                        segment.rows
                     )
+            # Each holder answers from its own storage.
             holders_events = {
-                node: self.query.filter(chain.from_iterable(segments))
-                for node, segments in holders_segments.items()
+                node: self.system._table.select(self.query, rows)
+                for node, rows in holders_rows.items()
             }
             self._launch_pool(leg.splitter, list(leg.destinations), holders_events)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.events.event import Event
 from repro.exceptions import StorageError
 
 __all__ = ["SharingPolicy", "Segment", "CellStore"]
@@ -74,13 +73,17 @@ class SharingPolicy:
 
 @dataclass(slots=True)
 class Segment:
-    """One holder's slice of a cell: vertical keys in ``[v_lo, v_hi)``."""
+    """One holder's slice of a cell: vertical keys in ``[v_lo, v_hi)``.
+
+    ``rows`` are the stored events' row ids in the system's
+    :class:`~repro.events.table.EventTable`, in arrival order.
+    """
 
     v_lo: float
     v_hi: float
     node: int
-    events: list[Event] = field(default_factory=list)
-    #: Vertical key of each stored event, parallel to ``events``.
+    rows: list[int] = field(default_factory=list)
+    #: Vertical key of each stored event, parallel to ``rows``.
     keys: list[float] = field(default_factory=list)
 
     def covers(self, v_key: float, *, top: bool) -> bool:
@@ -95,12 +98,16 @@ class Segment:
             return v_key <= self.v_hi
         return v_key < self.v_hi
 
-    def add(self, event: Event, v_key: float) -> None:
-        self.events.append(event)
+    def overlaps(self, lo: float, hi: float) -> bool:
+        """Whether this segment's sub-range meets the closed range ``[lo, hi]``."""
+        return self.v_lo <= hi and lo <= self.v_hi
+
+    def add(self, row: int, v_key: float) -> None:
+        self.rows.append(row)
         self.keys.append(v_key)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
 
 class CellStore:
@@ -144,22 +151,15 @@ class CellStore:
     ) -> list[Segment]:
         """Segments whose sub-range meets the closed query range."""
         lo, hi = v_query
-        return [
-            segment
-            for segment in self.segments
-            if segment.v_lo <= hi and lo <= segment.v_hi
-        ]
+        return [segment for segment in self.segments if segment.overlaps(lo, hi)]
 
     def holders(self) -> tuple[int, ...]:
         """Distinct nodes currently holding part of this cell."""
         return tuple(dict.fromkeys(segment.node for segment in self.segments))
 
-    def all_events(self) -> list[Event]:
-        """Every event stored in the cell across all segments."""
-        collected: list[Event] = []
-        for segment in self.segments:
-            collected.extend(segment.events)
-        return collected
+    def all_rows(self) -> list[int]:
+        """Row ids of every event stored in the cell, segment by segment."""
+        return [row for segment in self.segments for row in segment.rows]
 
     def total_events(self) -> int:
         return sum(len(segment) for segment in self.segments)
@@ -184,28 +184,28 @@ class CellStore:
         if median <= segment.v_lo or median > segment.v_hi:
             # All keys below the would-be boundary: try the range midpoint.
             median = (segment.v_lo + segment.v_hi) / 2.0
-        stay_events: list[Event] = []
+        stay_rows: list[int] = []
         stay_keys: list[float] = []
-        move_events: list[Event] = []
+        move_rows: list[int] = []
         move_keys: list[float] = []
-        for event, key in zip(segment.events, segment.keys):
+        for row, key in zip(segment.rows, segment.keys):
             if key >= median:
-                move_events.append(event)
+                move_rows.append(row)
                 move_keys.append(key)
             else:
-                stay_events.append(event)
+                stay_rows.append(row)
                 stay_keys.append(key)
-        if not move_events or not stay_events:
+        if not move_rows or not stay_rows:
             return None
         upper = Segment(
             v_lo=median,
             v_hi=segment.v_hi,
             node=delegate,
-            events=move_events,
+            rows=move_rows,
             keys=move_keys,
         )
         segment.v_hi = median
-        segment.events = stay_events
+        segment.rows = stay_rows
         segment.keys = stay_keys
         index = self.segments.index(segment)
         self.segments.insert(index + 1, upper)

@@ -36,6 +36,7 @@ from repro.dcs import (
 )
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
+from repro.events.table import EventTable
 from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
@@ -204,6 +205,8 @@ class PoolSystem:
         self._index_node_cache: dict[Cell, int] = {}
         self._splitter_cache: dict[tuple[int, int], int] = {}
         self._stores: dict[tuple[int, int, int], CellStore] = {}
+        # Every stored event; cell segments keep its row ids.
+        self._table = EventTable(dimensions)
         self._event_count = 0
         # Per-node stored-event counts, kept current so workload sharing
         # can pick lightly loaded delegates (real nodes learn neighbor
@@ -310,7 +313,7 @@ class PoolSystem:
                     delivered=False,
                 )
             hops += len(extra) - 1
-        segment.add(event, v_key)
+        segment.add(self._table.append(event), v_key)
         self._node_load[segment.node] = self._node_load.get(segment.node, 0) + 1
         self._event_count += 1
         hops += self._replicate(placement, segment.node)
@@ -456,7 +459,7 @@ class PoolSystem:
                     self._event_count -= len(segment)
                     if len(segment):
                         report.lossy_cells.append(key)
-                    segment.events.clear()
+                    segment.rows.clear()
                     segment.keys.clear()
                 segment.node = new_holder
             if not topology.is_alive(store.primary_node):
@@ -713,14 +716,17 @@ class PoolSystem:
         """
         query: RangeQuery = plan.query
         detail = PoolQueryDetail()
-        answered_segments: list[list[Event]] = []
+        answered_rows: list[list[int]] = []
         visited: list[int] = []
         attempted_cells = 0
         answered_cells = 0
         unreachable_cells: list[Cell] = []
         unreachable_nodes: dict[int, None] = {}
+        stores = self._stores
         leg_plans: tuple[PoolLegPlan, ...] = plan.detail
         for leg, leg_exec in zip(leg_plans, execution.detail):
+            answered = leg_exec.answered
+            v_lo, v_hi = leg.vertical
             detail.plans.append(
                 PoolPlan(
                     pool=leg.pool,
@@ -734,22 +740,22 @@ class PoolSystem:
             )
             visited.extend(leg.destinations)
             attempted_cells += len(leg.cell_holders)
-            for cell, cell_nodes in leg.cell_holders:
-                if cell_nodes <= leg_exec.answered:
+            # ``offsets`` and ``cell_holders`` are parallel, cell by cell.
+            for (ho, vo), (cell, cell_nodes) in zip(leg.offsets, leg.cell_holders):
+                if cell_nodes <= answered:
                     answered_cells += 1
                 else:
                     unreachable_cells.append(cell)
-                    for node in sorted(cell_nodes - leg_exec.answered):
+                    for node in sorted(cell_nodes - answered):
                         unreachable_nodes[node] = None
-            for ho, vo in leg.offsets:
-                store = self._stores.get((leg.pool, ho, vo))
+                store = stores.get((leg.pool, ho, vo))
                 if store is None:
                     continue
-                for segment in store.segments_overlapping(leg.vertical):
-                    if segment.node in leg_exec.answered:
-                        answered_segments.append(segment.events)
+                for segment in store.segments:
+                    if segment.node in answered and segment.overlaps(v_lo, v_hi):
+                        answered_rows.append(segment.rows)
         return resolve_result(
-            events=query.filter(chain.from_iterable(answered_segments)),
+            events=self._table.select(query, answered_rows),
             forward_cost=execution.forward_cost,
             reply_cost=execution.reply_cost,
             visited_nodes=tuple(visited),
@@ -998,19 +1004,18 @@ class PoolSystem:
 
     def all_events(self) -> list[Event]:
         """Every stored event (ground truth for correctness tests)."""
-        collected: list[Event] = []
-        for store in self._stores.values():
-            collected.extend(store.all_events())
-        return collected
+        return self._table.events(
+            row for store in self._stores.values() for row in store.all_rows()
+        )
 
     def storage_distribution(self) -> dict[int, int]:
         """Events per physical node — the hotspot metric."""
         per_node: dict[int, int] = {}
         for store in self._stores.values():
             for segment in store.segments:
-                if segment.events:
+                if segment.rows:
                     per_node[segment.node] = (
-                        per_node.get(segment.node, 0) + len(segment.events)
+                        per_node.get(segment.node, 0) + len(segment.rows)
                     )
         return per_node
 

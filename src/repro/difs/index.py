@@ -27,12 +27,12 @@ the weakness (Section 1 of the Pool paper) that motivated DIM and Pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 from repro.dcs import InsertReceipt, QueryResult, resolve_result
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
+from repro.events.table import EventTable
 from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
@@ -116,8 +116,9 @@ class DifsIndex:
         self.branching = branching
         self.depth = depth
         self._ght = GeographicHashTable(self.network, salt="difs")
-        self._storage: dict[tuple[float, float], list[Event]] = {}
-        self._event_count = 0
+        # Row ids of the events stored under each leaf range.
+        self._table = EventTable(dimensions)
+        self._storage: dict[tuple[float, float], list[int]] = {}
         # Called after every stored event with ((lo, hi), event, leaf_node)
         # — leaf ranges are the native cell identity DIFS plans resolve
         # to, so the serve-layer cache invalidates on exactly the leaves
@@ -240,8 +241,9 @@ class DifsIndex:
                 break
             hops += len(update) - 1
             previous = ancestor_node
-        self._storage.setdefault((leaf.lo, leaf.hi), []).append(event)
-        self._event_count += 1
+        self._storage.setdefault((leaf.lo, leaf.hi), []).append(
+            self._table.append(event)
+        )
         for listener in self.insert_listeners:
             listener((leaf.lo, leaf.hi), event, leaf_node)
         return InsertReceipt(
@@ -370,8 +372,8 @@ class DifsIndex:
         """Retrieve and post-filter matches held under ``leaf_ranges``."""
         stored = [self._storage.get((leaf.lo, leaf.hi), ()) for leaf in leaf_ranges]
         return (
-            query.filter(chain.from_iterable(stored)),
-            sum(len(events) for events in stored),
+            self._table.select(query, stored),
+            sum(map(len, stored)),
         )
 
     def _leaves_under(self, node: _IndexRange) -> list[_IndexRange]:
@@ -392,7 +394,7 @@ class DifsIndex:
     @property
     def stored_events(self) -> int:
         """Total events currently stored."""
-        return self._event_count
+        return len(self._table)
 
     def storage_distribution(self) -> dict[int, int]:
         """Events per *physical node* — the hotspot metric.
@@ -402,15 +404,15 @@ class DifsIndex:
         value range; this surfaces that imbalance per hosting node.
         """
         per_node: dict[int, int] = {}
-        for (lo, hi), events in self._storage.items():
-            if not events:
+        for (lo, hi), rows in self._storage.items():
+            if not rows:
                 continue
             node = self.index_node_of(_IndexRange(lo, hi, self.depth))
-            per_node[node] = per_node.get(node, 0) + len(events)
+            per_node[node] = per_node.get(node, 0) + len(rows)
         return per_node
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DifsIndex(attr={self.attribute}, b={self.branching}, "
-            f"depth={self.depth}, events={self._event_count})"
+            f"depth={self.depth}, events={len(self._table)})"
         )

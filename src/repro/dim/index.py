@@ -11,7 +11,6 @@ benchmark harness can drive DIM and Pool identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 from repro.aggregates import AggregateKind, AggregateState
@@ -26,6 +25,7 @@ from repro.exceptions import ConfigurationError
 from repro.dim.zones import Zone, ZoneTree
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
+from repro.events.table import EventTable
 from repro.exceptions import DimensionMismatchError, UnreachableError
 from repro.exec import Execution, QueryPlan, run_staged
 from repro.network.messages import MessageCategory
@@ -61,10 +61,11 @@ class DimIndex:
         self.network = network.scope("dim")
         self.dimensions = dimensions
         self.tree = ZoneTree(network.topology, dimensions)
-        # Events stored per leaf zone code (a physical node may own
-        # several zones; zone granularity keeps queries precise).
-        self._storage: dict[str, list[Event]] = {}
-        self._event_count = 0
+        # Row ids of the events stored per leaf zone code (a physical
+        # node may own several zones; zone granularity keeps queries
+        # precise).
+        self._table = EventTable(dimensions)
+        self._storage: dict[str, list[int]] = {}
         # Called after every successfully stored event with
         # (zone_code, event, owner_node) — zone codes are the native cell
         # identity DIM plans resolve to, so the serve-layer cache
@@ -92,8 +93,7 @@ class DimIndex:
                 detail=leaf.code,
                 delivered=False,
             )
-        self._storage.setdefault(leaf.code, []).append(event)
-        self._event_count += 1
+        self._storage.setdefault(leaf.code, []).append(self._table.append(event))
         for listener in self.insert_listeners:
             listener(leaf.code, event, leaf.owner)
         return InsertReceipt(
@@ -156,9 +156,12 @@ class DimIndex:
             zone_codes=tuple(plan.cells),
             owner_nodes=tuple(owners),
         )
+        storage = self._storage
         if plan.is_local:
             return QueryResult(
-                events=self._collect(list(zones), query),
+                events=self._table.select(
+                    query, [storage.get(zone.code, ()) for zone in zones]
+                ),
                 forward_cost=0,
                 reply_cost=0,
                 visited_nodes=tuple(owners),
@@ -166,24 +169,29 @@ class DimIndex:
             )
         answered = execution.answered
         # A zone answers only when its owner's reply reached the sink.
-        events = self._collect(
-            [zone for zone in zones if zone.owner in answered], query
-        )
+        answered_rows: list[list[int]] = []
+        unreachable_codes: list[str] = []
+        unreachable_owners: set[int] = set()
+        for zone in zones:
+            if zone.owner in answered:
+                rows = storage.get(zone.code)
+                if rows:
+                    answered_rows.append(rows)
+            else:
+                unreachable_codes.append(zone.code)
+                unreachable_owners.add(zone.owner)
         return resolve_result(
-            events=events,
+            events=self._table.select(query, answered_rows),
             forward_cost=execution.forward_cost,
             reply_cost=execution.reply_cost,
             visited_nodes=tuple(owners),
             detail=detail,
             depth_hops=execution.depth_hops,
             attempted_cells=len(zones),
-            answered_cells=sum(1 for zone in zones if zone.owner in answered),
-            unreachable_cells=tuple(
-                zone.code for zone in zones if zone.owner not in answered
-            ),
-            unreachable_nodes=tuple(
-                owner for owner in owners if owner not in answered
-            ),
+            answered_cells=len(zones) - len(unreachable_codes),
+            unreachable_cells=tuple(unreachable_codes),
+            # ``owners`` is sorted, so the sorted subset keeps its order.
+            unreachable_nodes=tuple(sorted(unreachable_owners)),
         )
 
     def plan_retry(
@@ -253,19 +261,14 @@ class DimIndex:
     # Introspection                                                      #
     # ------------------------------------------------------------------ #
 
-    def _collect(self, zones: list[Zone], query: RangeQuery) -> list[Event]:
-        return query.filter(
-            chain.from_iterable(self._storage.get(zone.code, ()) for zone in zones)
-        )
-
     @property
     def stored_events(self) -> int:
         """Total events currently stored."""
-        return self._event_count
+        return len(self._table)
 
     def events_in_zone(self, code: str) -> tuple[Event, ...]:
         """Events stored under one zone code."""
-        return tuple(self._storage.get(code, ()))
+        return tuple(self._table.events(self._storage.get(code, ())))
 
     def storage_distribution(self) -> dict[int, int]:
         """Events per *physical node* — the hotspot metric.
@@ -284,5 +287,5 @@ class DimIndex:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DimIndex(k={self.dimensions}, zones={len(self.tree)}, "
-            f"events={self._event_count})"
+            f"events={len(self._table)})"
         )

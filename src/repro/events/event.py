@@ -47,8 +47,9 @@ class Event:
     seq: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        # Always ``float()``: a numpy scalar or a ``Fraction`` compares
+        # differently from the float64 it becomes in an event table.
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.values) == 0:
             raise ValidationError("an event needs at least one attribute value")
         for index, value in enumerate(self.values):
@@ -132,14 +133,14 @@ class Event:
     @classmethod
     def of(cls, *values: float, source: int | None = None, seq: int = 0) -> "Event":
         """Build an event from positional values: ``Event.of(0.4, 0.3, 0.1)``."""
-        return cls(tuple(float(v) for v in values), source=source, seq=seq)
+        return cls(values, source=source, seq=seq)
 
     @classmethod
     def from_sequence(
         cls, values: Sequence[float], source: int | None = None, seq: int = 0
     ) -> "Event":
         """Build an event from any float sequence (list, numpy row, ...)."""
-        return cls(tuple(float(v) for v in values), source=source, seq=seq)
+        return cls(values, source=source, seq=seq)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         body = ", ".join(f"{v:.4g}" for v in self.values)

@@ -114,9 +114,10 @@ def generate_events(
     else:  # pragma: no cover - guarded by Literal, kept for runtime safety
         raise ConfigurationError(f"unknown event distribution {distribution!r}")
     events: list[Event] = []
-    for i in range(count):
+    # ``tolist`` yields the float64 values as Python floats in one call.
+    for i, row in enumerate(values.tolist()):
         source = sources[i % len(sources)] if sources else None
-        events.append(Event(tuple(values[i]), source=source, seq=i))
+        events.append(Event(row, source=source, seq=i))
     return events
 
 

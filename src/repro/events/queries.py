@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.events.event import Event
 from repro.exceptions import DimensionMismatchError, ValidationError
@@ -53,12 +53,12 @@ class RangeQuery:
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bounds, tuple):
-            object.__setattr__(
-                self,
-                "bounds",
-                tuple((float(lo), float(hi)) for lo, hi in self.bounds),
-            )
+        # Always ``float()``, as ``Event`` does for its values.
+        object.__setattr__(
+            self,
+            "bounds",
+            tuple((float(lo), float(hi)) for lo, hi in self.bounds),
+        )
         if len(self.bounds) == 0:
             raise ValidationError("a query needs at least one dimension")
         for index, (lo, hi) in enumerate(self.bounds):
@@ -78,12 +78,12 @@ class RangeQuery:
     @classmethod
     def of(cls, *bounds: tuple[float, float]) -> "RangeQuery":
         """``RangeQuery.of((0.2, 0.3), (0.25, 0.35), (0.21, 0.24))``."""
-        return cls(tuple((float(lo), float(hi)) for lo, hi in bounds))
+        return cls(bounds)
 
     @classmethod
     def point(cls, *values: float) -> "RangeQuery":
         """An exact-match point query: ``L_i == U_i == values[i]``."""
-        return cls(tuple((float(v), float(v)) for v in values))
+        return cls(tuple((v, v) for v in values))
 
     @classmethod
     def partial(
@@ -112,10 +112,7 @@ class RangeQuery:
                 raise ValidationError(
                     f"specified dimension {dim} outside 0..{dimensions - 1}"
                 )
-        bounds = tuple(
-            tuple(map(float, specified.get(i, FULL_RANGE))) for i in range(dimensions)
-        )
-        return cls(bounds)  # type: ignore[arg-type]
+        return cls(tuple(specified.get(i, FULL_RANGE) for i in range(dimensions)))
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
@@ -195,31 +192,6 @@ class RangeQuery:
         if len(values) != len(self.bounds):
             raise DimensionMismatchError(len(self.bounds), len(values), "event")
         return all(lo <= v <= hi for v, (lo, hi) in zip(values, self.bounds))
-
-    def filter(self, events: Iterable[Event]) -> list[Event]:
-        """All events in ``events`` matching this query, in input order.
-
-        The fold kernel of every storage system.  It agrees with
-        :meth:`matches` on every event but tests only the specified
-        dimensions: an :class:`Event` holds values in ``[0, 1]`` (never
-        NaN), so a full-range test always passes.  The caller guarantees
-        the events have this query's dimensionality — ``plan_query``
-        rejects a mismatched query before anything is folded.
-        """
-        tests = tuple(
-            (index, lo, hi)
-            for index, (lo, hi) in enumerate(self.bounds)
-            if lo > 0.0 or hi < 1.0
-        )
-        matched: list[Event] = []
-        for event in events:
-            values = event.values
-            for index, lo, hi in tests:
-                if not lo <= values[index] <= hi:
-                    break
-            else:
-                matched.append(event)
-        return matched
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts: list[str] = []

@@ -35,12 +35,13 @@ The overload/fault layer (:mod:`repro.serve.admission`) composes on top:
   (``OUTCOME_STALE``) or shed, never executed into the failing network.
 
 All timing is simulated (:class:`~repro.serve.clock.SimClock`); message
-savings are measured off the real ledger via stats checkpoints, never
+savings are measured off the real ledger (differences of its total), never
 estimated.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Hashable
 
 from repro.dcs import PartialResult, QueryResult, resolve_result
@@ -83,16 +84,25 @@ def merge_partial_results(base: QueryResult, patch: QueryResult) -> QueryResult:
 
     ``patch`` is the fold of a restricted retry plan (the system's
     ``plan_retry`` output) covering exactly ``base``'s unreachable cells.
-    Events are merged with order-preserving dedup — Pool's fold collects
-    events from *answered holders* even inside unanswered cells, so a
-    retried cell's patch can re-deliver events the base already carries.
+    Pool's fold collects events from *answered holders* even inside
+    unanswered cells, so a retried cell's patch can re-deliver events the
+    base already carries.  The merge keeps every base event and drops from
+    the patch only those re-deliveries: the same stored ``Event`` objects,
+    matched by identity and counted with multiplicity.  ``Event`` equality
+    ignores the source, so two sensors' identical readings both stay.
     Costs add (both executions were charged on the ledger); completeness
     is re-derived from the merged answered count, so a fully successful
     patch restores a plain :class:`~repro.dcs.QueryResult`.
     """
     if not isinstance(base, PartialResult):
         return base
-    events = list(dict.fromkeys([*base.events, *patch.events]))
+    held = Counter(map(id, base.events))
+    events = list(base.events)
+    for event in patch.events:
+        if held[id(event)]:
+            held[id(event)] -= 1
+        else:
+            events.append(event)
     visited = tuple(dict.fromkeys([*base.visited_nodes, *patch.visited_nodes]))
     if isinstance(patch, PartialResult):
         answered = min(
@@ -240,12 +250,12 @@ class QueryService:
             policy=self._policy_dict(),
         )
         stats = self.system.network.stats
-        run_start = stats.checkpoint()
+        run_start = stats.total
         if self.admission is None:
             self._run_synchronous(schedule.requests, report)
         else:
             self._run_admitted(schedule.requests, report)
-        report.messages_total = sum(stats.delta(run_start).values())
+        report.messages_total = stats.total - run_start
         if self.breaker is not None:
             report.breaker_trips = self.breaker.trips
         return report
@@ -432,9 +442,9 @@ class QueryService:
     ) -> float:
         stats = self.system.network.stats
         _, leader_plan = members[0]
-        before = stats.checkpoint()
+        before = stats.total
         execution = self.system.execute_plan(leader_plan)
-        charged = sum(stats.delta(before).values())
+        charged = stats.total - before
         done_at = self.clock.now
         group_failed = False
         for position, (request, plan) in enumerate(members):
@@ -502,7 +512,7 @@ class QueryService:
         can genuinely do better).
         """
         stats = self.system.network.stats
-        before = stats.checkpoint()
+        before = stats.total
         plan_retry = getattr(self.system, "plan_retry", None)
         if plan_retry is not None:
             subplan = plan_retry(plan, result)
@@ -510,10 +520,10 @@ class QueryService:
                 execution: Execution = self.system.execute_plan(subplan)
                 patch = self.system.fold_replies(subplan, execution)
                 merged = merge_partial_results(result, patch)
-                return merged, sum(stats.delta(before).values())
+                return merged, stats.total - before
         execution = self.system.execute_plan(plan)
         again = self.system.fold_replies(plan, execution)
-        cost = sum(stats.delta(before).values())
+        cost = stats.total - before
         best = again if again.completeness >= result.completeness else result
         return best, cost
 

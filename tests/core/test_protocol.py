@@ -138,7 +138,7 @@ class TestMidQueryFaults:
             segment.node
             for store in system._stores.values()
             for segment in store.segments
-            if segment.events and segment.node != 0
+            if segment.rows and segment.node != 0
         )
         # Fires at t=0, before any message lands: the victim is dead by
         # the time the dissemination reaches it.

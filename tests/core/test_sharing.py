@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.sharing import CellStore, Segment, SharingPolicy
 from repro.events.event import Event
+from repro.events.table import EventTable
 from repro.exceptions import StorageError
 
 
@@ -13,10 +14,11 @@ def _store(v_range=(0.0, 0.1), primary=1) -> CellStore:
     return CellStore(primary_node=primary, v_range=v_range)
 
 
-def _fill(store: CellStore, keys: list[float]) -> None:
-    for i, key in enumerate(keys):
+def _fill(store: CellStore, keys: list[float], table: EventTable | None = None) -> None:
+    table = table if table is not None else EventTable(2)
+    for key in keys:
         segment = store.segment_for(key)
-        segment.add(Event.of(key, key / 2), key)
+        segment.add(table.append(Event.of(key, key / 2)), key)
 
 
 class TestSharingPolicy:
@@ -46,10 +48,12 @@ class TestSegment:
         assert segment.covers(0.5, top=True)
 
     def test_add_tracks_keys(self):
+        table = EventTable(2)
         segment = Segment(v_lo=0.0, v_hi=1.0, node=1)
-        segment.add(Event.of(0.4, 0.2), 0.2)
+        segment.add(table.append(Event.of(0.4, 0.2)), 0.2)
         assert len(segment) == 1
         assert segment.keys == [0.2]
+        assert segment.rows == [0]
 
 
 class TestCellStore:
@@ -79,6 +83,9 @@ class TestCellStore:
         assert original.v_hi == upper.v_lo
         assert all(k < upper.v_lo for k in original.keys)
         assert all(k >= upper.v_lo for k in upper.keys)
+        # Rows travel with their keys.
+        assert original.rows == [0, 1, 2]
+        assert upper.rows == [3, 4, 5]
         assert store.total_events() == 6
         assert store.holders() == (1, 9)
 
@@ -131,6 +138,13 @@ class TestCellStore:
 
     def test_all_events_spans_segments(self):
         store = _store((0.0, 0.1))
-        _fill(store, [0.01, 0.05, 0.09, 0.02])
+        table = EventTable(2)
+        _fill(store, [0.01, 0.05, 0.09, 0.02], table)
         store.split_segment(store.segments[0], delegate=9)
-        assert len(store.all_events()) == 4
+        assert len(store.all_rows()) == 4
+        assert sorted(e.values[0] for e in table.events(store.all_rows())) == [
+            0.01,
+            0.02,
+            0.05,
+            0.09,
+        ]

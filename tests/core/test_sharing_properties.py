@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sharing import CellStore
-from repro.events.event import Event
 
 keys = st.floats(min_value=0.0, max_value=0.099999, allow_nan=False)
 key_batches = st.lists(keys, min_size=0, max_size=60)
@@ -15,8 +14,8 @@ split_plans = st.lists(st.integers(min_value=0, max_value=5), max_size=4)
 
 def _store_with(keys_list) -> CellStore:
     store = CellStore(primary_node=1, v_range=(0.0, 0.1))
-    for key in keys_list:
-        store.segment_for(key).add(Event.of(min(key * 10, 1.0), key), key)
+    for row, key in enumerate(keys_list):
+        store.segment_for(key).add(row, key)
     return store
 
 
@@ -52,6 +51,10 @@ class TestSegmentationInvariants:
         assert sorted(
             key for segment in store.segments for key in segment.keys
         ) == sorted(keys_list)
+        # Rows stay parallel to keys: row i was stored under key i.
+        for segment in store.segments:
+            assert [keys_list[row] for row in segment.rows] == segment.keys
+        assert sorted(store.all_rows()) == list(range(len(keys_list)))
 
     @given(key_batches, split_plans)
     @settings(max_examples=150)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.events.event import Event
 from repro.events.queries import FULL_RANGE, QueryKind, RangeQuery
+from repro.events.table import EventTable
 from repro.exceptions import DimensionMismatchError, ValidationError
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -23,6 +24,13 @@ def queries(draw, dims=st.integers(min_value=1, max_value=5)):
         lo, hi = min(lo, hi), max(lo, hi)
         bounds.append((lo, hi))
     return RangeQuery(tuple(bounds))
+
+
+def _table(events) -> EventTable:
+    table = EventTable(events[0].dimensions if events else 1)
+    for event in events:
+        table.append(event)
+    return table
 
 
 class TestConstruction:
@@ -112,24 +120,31 @@ class TestMatching:
         with pytest.raises(DimensionMismatchError):
             RangeQuery.of((0.0, 1.0)).matches(Event.of(0.1, 0.2))
 
+    # The fold kernel is ``EventTable.select``; these pin it to the
+    # query semantics over row ids.
+
     def test_filter(self):
         events = [Event.of(0.1, 0.1), Event.of(0.6, 0.6), Event.of(0.4, 0.4)]
+        table = _table(events)
         q = RangeQuery.of((0.0, 0.5), (0.0, 0.5))
-        assert q.filter(events) == [events[0], events[2]]
+        assert table.select(q, [range(3)]) == [events[0], events[2]]
 
     def test_filter_accepts_any_iterable(self):
         events = [Event.of(0.1, 0.9), Event.of(0.3, 0.2), Event.of(0.2, 0.5)]
+        table = _table(events)
         q = RangeQuery.partial(2, {0: (0.1, 0.2)})
-        assert q.filter(iter(events)) == [events[0], events[2]]
-        assert q.filter(()) == []
+        assert table.select(q, [[0], (1, 2)]) == [events[0], events[2]]
+        assert table.select(q, ()) == []
+        assert table.select(q, [[], []]) == []
 
     def test_filter_full_query_keeps_everything(self):
         events = [Event.of(0.0, 1.0), Event.of(1.0, 0.0), Event.of(0.5, 0.5)]
-        assert RangeQuery.partial(2, {}).filter(events) == events
+        table = _table(events)
+        assert table.select(RangeQuery.partial(2, {}), [range(3)]) == events
 
     @given(st.data(), st.integers(min_value=1, max_value=5))
     def test_filter_equals_matches(self, data, k):
-        # The scalar reference: matches() tests every dimension, filter()
+        # The scalar reference: matches() tests every dimension, select()
         # only the specified ones.  Draw bounds and values from the edge
         # values so closed bounds, points, 0.0 and 1.0 meet often.
         edges = st.sampled_from([0.0, 1.0, 0.25, 0.5])
@@ -150,7 +165,10 @@ class TestMatching:
             Event(tuple(data.draw(event_value) for _ in range(k)), seq=seq)
             for seq in range(data.draw(st.integers(min_value=0, max_value=30)))
         ]
-        assert query.filter(events) == [e for e in events if query.matches(e)]
+        table = _table(events)
+        assert table.select(query, [range(len(events))]) == [
+            e for e in events if query.matches(e)
+        ]
 
     @given(queries(), st.lists(unit, min_size=5, max_size=5))
     def test_rewritten_dimensions_always_match(self, query, values):

@@ -10,6 +10,7 @@ from repro.bench.serve_bench import run_serve
 from repro.core.system import PoolSystem
 from repro.dcs import PartialResult, QueryResult
 from repro.dim.index import DimIndex
+from repro.events.event import Event
 from repro.events.generators import generate_events
 from repro.events.queries import RangeQuery
 from repro.exceptions import ConfigurationError
@@ -158,6 +159,34 @@ class TestMergePartialResults:
         )
         merged = merge_partial_results(base, patch)
         assert merged.events == ["e1", "e2", "e3"]
+
+    def test_equal_readings_from_two_sensors_both_survive(self):
+        # Event equality ignores source and seq; the merge must not.
+        first = Event.of(0.5, 0.5, 0.5, source=1)
+        second = Event.of(0.5, 0.5, 0.5, source=2)
+        base = _partial(events=[first, second])
+        patch = QueryResult(events=[], forward_cost=0, reply_cost=0, depth_hops=1)
+        merged = merge_partial_results(base, patch)
+        assert merged.match_count == 2
+        assert merged.events[0] is first and merged.events[1] is second
+
+    def test_redelivered_events_drop_once_each(self):
+        # Only the patch's re-deliveries of base objects go, with
+        # multiplicity; an equal but distinct object is a new match.
+        shared = Event.of(0.2, 0.2, 0.2, source=1)
+        twin = Event.of(0.2, 0.2, 0.2, source=3)
+        fresh = Event.of(0.7, 0.1, 0.1, source=4)
+        base = _partial(events=[shared, shared])
+        patch = QueryResult(
+            events=[shared, shared, shared, twin, fresh],
+            forward_cost=0,
+            reply_cost=0,
+            depth_hops=1,
+        )
+        merged = merge_partial_results(base, patch)
+        assert [id(e) for e in merged.events] == [
+            id(shared), id(shared), id(shared), id(twin), id(fresh)
+        ]
 
     def test_answered_count_never_exceeds_attempted(self):
         # Pool's cross-pool cell collision can over-retry; the merged

@@ -148,14 +148,14 @@ class _Execution:
             self.recorder.record(
                 "pool-dissemination",
                 phase="simulate",
-                nodes=tree.nodes(),
+                nodes=tree.depths,
                 splitter=splitter,
                 destinations=len(destinations),
             )
         run = _PoolRun(tree=tree, children=tree.children())
         # pending = own children count; a node replies upstream once all
         # of its children replied (leaves reply immediately).
-        for node in tree.nodes():
+        for node in tree.depths:
             run.pending[node] = len(run.children.get(node, ()))
             run.partials[node] = list(holders_events.get(node, ()))
         sink_path = sim.router.path(self.sink, splitter)
@@ -214,7 +214,7 @@ class _Execution:
                     # Liveness decided when the hop lands: a dead relay
                     # on the sink->splitter leg silences the whole pool.
                     if not sim.nodes[receiver].alive:
-                        self.unreachable.update(tree.nodes())
+                        self.unreachable.update(tree.depths)
                         finish_pool([])
                         return
                     deliver_to_splitter(index + 1)
@@ -275,7 +275,7 @@ class _Execution:
                         if not sim.nodes[receiver].alive:
                             # The pool's combined answer died on the way
                             # home; every contributor goes unanswered.
-                            self.unreachable.update(tree.nodes())
+                            self.unreachable.update(tree.depths)
                             finish_pool([])
                             return
                         relay(index - 1)

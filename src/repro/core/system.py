@@ -16,7 +16,6 @@ Implements the :class:`~repro.dcs.DataCentricStore` protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Callable
 
 from repro.core.grid import Cell, Grid
@@ -982,8 +981,7 @@ class PoolSystem:
                     except UnreachableError:
                         answered = frozenset()
                     reply.annotate(answered=len(answered))
-                # Lazy, so only a real span pays for listing the tree's nodes.
-                reply.add_nodes(chain((tree.root,), chain.from_iterable(tree.edges)))
+                reply.add_nodes(tree.depths)
             pool_span.add_nodes(destinations)
         return PoolLegExecution(
             pool=pool,

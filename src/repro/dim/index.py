@@ -116,7 +116,7 @@ class DimIndex:
         return run_staged(self, sink, query)
 
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
-        """Pure resolving: the value k-d descent at the sink, zero messages."""
+        """Pure resolving: the overlapping leaf zones, at the sink, zero messages."""
         zones = self.tree.zones_for_query(query)
         owners = sorted({zone.owner for zone in zones})
         return QueryPlan(

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.events.queries import RangeQuery
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.geometry import Rect
@@ -140,6 +142,11 @@ class ZoneTree:
         )
         self._leaves: list[Zone] = []
         self._build(self.root)
+        # Leaf value boxes as (leaves, k) arrays.  ``_build`` appends
+        # leaves low half first, and no leaf code is a prefix of another,
+        # so leaf order is code order.
+        boxes = np.array([leaf.value_box for leaf in self._leaves], dtype=np.float64)
+        self._lo, self._hi = boxes.transpose(2, 0, 1).copy()
 
     # ------------------------------------------------------------------ #
     # Construction                                                       #
@@ -238,40 +245,26 @@ class ZoneTree:
         return zone
 
     def zones_for_query(self, query: RangeQuery) -> list[Zone]:
-        """All leaf zones whose value box overlaps ``query``.
+        """All leaf zones whose value box overlaps ``query``, in code order.
 
-        This is DIM's range-query decomposition: a simultaneous descent of
-        the value-space k-d tree pruning subtrees disjoint from the query
-        hyper-rectangle.  The number of returned zones grows with network
-        size for a fixed query — the scalability weakness the paper's
-        Figure 6 demonstrates.
+        This is DIM's range-query decomposition: the value-space k-d
+        descent, pruning subtrees disjoint from the query hyper-rectangle.
+        The number of returned zones grows with network size for a fixed
+        query — the scalability weakness the paper's Figure 6
+        demonstrates.
 
-        A child's value box differs from its parent's only on the split
-        dimension ``depth mod k``, so once the root overlaps, each child
-        needs testing on that axis alone, with the same closed comparison
-        as :meth:`Zone.overlaps`.
+        The descent reaches a leaf exactly when the leaf's own box
+        overlaps the query on every axis (an ancestor's interval on an
+        axis contains the leaf's), so one closed test over the leaf-box
+        arrays, the comparison of :meth:`Zone.overlaps`, selects the same
+        zones.  The arrays are in code order, and so is the result.
         """
         if query.dimensions != self.dimensions:
             raise DimensionMismatchError(self.dimensions, query.dimensions, "query")
-        if not self.root.overlaps(query):
-            return []
-        bounds = query.bounds
-        result: list[Zone] = []
-        stack = [self.root]
-        while stack:
-            zone = stack.pop()
-            if zone.is_leaf:
-                result.append(zone)
-                continue
-            assert zone.low is not None and zone.high is not None
-            dim = zone.depth % self.dimensions
-            q_lo, q_hi = bounds[dim]
-            for child in (zone.high, zone.low):
-                lo, hi = child.value_box[dim]
-                if not (hi < q_lo or q_hi < lo):
-                    stack.append(child)
-        result.sort(key=lambda z: z.code)
-        return result
+        q = np.array(query.bounds, dtype=np.float64)
+        miss = (self._hi < q[:, 0]) | (q[:, 1] < self._lo)
+        leaves = self._leaves
+        return [leaves[i] for i in np.flatnonzero(~miss.any(axis=1)).tolist()]
 
     def iter_zones(self) -> Iterator[Zone]:
         """Depth-first iteration over every zone (internal and leaf)."""

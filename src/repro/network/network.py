@@ -23,7 +23,7 @@ a *derived* deployment, leaving siblings routing over the healthy field.
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import deque
 from typing import Sequence, TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
@@ -269,25 +269,24 @@ class Network:
             tel, "cell-fanout", ledger=self.stats, phase="forward", root=src
         ) as span:
             builder = TreeBuilder(self.router, src)
-            builder.add_destinations(list(destinations))
+            builder.add_destinations(destinations)
             tree = builder.build()
             span.annotate(destinations=len(tree.destinations))
-            # Lazy, so only a real span pays for listing the tree's nodes.
-            span.add_nodes(chain((tree.root,), chain.from_iterable(tree.edges)))
+            span.add_nodes(tree.depths)
             rel = self.reliability
             if rel is None:
                 self.stats.record(category, tree.forward_cost)
                 return TreeDelivery(
                     tree=tree,
-                    reached=frozenset(tree.nodes()),
+                    reached=frozenset(tree.depths),
                     attempted_edges=tree.forward_cost,
                 )
             children = tree.children()
             reached = {src}
             attempted = 0
-            frontier = [src]
+            frontier = deque((src,))
             while frontier:
-                parent = frontier.pop(0)
+                parent = frontier.popleft()
                 for child in children.get(parent, ()):
                     attempted += 1
                     if rel.deliver_hop(category, parent, child, self.stats):
@@ -315,14 +314,13 @@ class Network:
         if rel is None:
             cost = tree.reply_cost
             self.stats.record(category, cost)
-            return frozenset(tree.nodes()), cost
-        reply_edges = [
-            (parent, child)
-            for parent, child in sorted(tree.edges)
-            if child in delivery.reached
-        ]
+            return delivery.reached, cost
+        reached = delivery.reached
         depths = tree.depths
-        reply_edges.sort(key=lambda edge: (-depths[edge[1]], edge[1]))
+        reply_edges = sorted(
+            ((parent, child) for child, parent in tree.parents.items() if child in reached),
+            key=lambda edge: (-depths[edge[1]], edge[1]),
+        )
         hop_ok: dict[int, bool] = {}
         for parent, child in reply_edges:
             hop_ok[child] = rel.deliver_hop(category, child, parent, self.stats)

@@ -16,6 +16,7 @@ is apples-to-apples (see DESIGN.md §5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.routing.gpsr import GPSRRouter
 
@@ -26,24 +27,28 @@ __all__ = ["MulticastTree", "TreeDelivery", "TreeBuilder"]
 class MulticastTree:
     """An immutable dissemination tree rooted at ``root``.
 
-    ``edges`` are directed parent→child pairs; each edge carries the query
-    exactly once downstream (``forward_cost``) and one aggregated reply
-    upstream (``reply_cost``).  ``parents`` (child → parent, every node
-    but the root) and ``depths`` (hop depth of every node, the root at 0)
-    describe the same edges; :class:`TreeBuilder` fills them while
-    grafting, so depth queries never rebuild a parent map.
+    ``parents`` maps every node but the root to its parent, and ``depths``
+    gives every node's hop depth (the root at 0), so its keys are the
+    tree's nodes.  :class:`TreeBuilder` fills both while grafting; the
+    parent→child ``edges`` and ``children()`` adjacency are derived on
+    demand.  Each edge carries the query exactly once downstream
+    (``forward_cost``) and one aggregated reply upstream (``reply_cost``).
     """
 
     root: int
     destinations: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
     parents: dict[int, int]
     depths: dict[int, int]
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Directed parent→child pairs, one per non-root node."""
+        return frozenset((parent, child) for child, parent in self.parents.items())
+
+    @property
     def forward_cost(self) -> int:
         """Transmissions to push the query to every destination."""
-        return len(self.edges)
+        return len(self.parents)
 
     @property
     def reply_cost(self) -> int:
@@ -52,7 +57,7 @@ class MulticastTree:
         One reply message per tree edge: children's replies merge at branch
         points (the paper's in-splitter aggregation).
         """
-        return len(self.edges)
+        return len(self.parents)
 
     @property
     def total_cost(self) -> int:
@@ -61,16 +66,12 @@ class MulticastTree:
 
     def nodes(self) -> set[int]:
         """All node ids touched by the tree (including the root)."""
-        touched = {self.root}
-        for parent, child in self.edges:
-            touched.add(parent)
-            touched.add(child)
-        return touched
+        return set(self.depths)
 
     def children(self) -> dict[int, list[int]]:
         """Adjacency (parent → sorted children) for traversals/tests."""
         table: dict[int, list[int]] = {}
-        for parent, child in self.edges:
+        for child, parent in self.parents.items():
             table.setdefault(parent, []).append(child)
         for kids in table.values():
             kids.sort()
@@ -128,45 +129,48 @@ class TreeBuilder:
     def __init__(self, router: GPSRRouter, root: int) -> None:
         self.router = router
         self.root = root
-        self._edges: set[tuple[int, int]] = set()
-        self._destinations: list[int] = []
+        # Destinations in first-added order (a dict as an ordered set).
+        self._destinations: dict[int, None] = {}
         self._parents: dict[int, int] = {}
         # Every reached node's hop depth; the keys are the reached set.
         self._depths: dict[int, int] = {root: 0}
 
     def add_destination(self, node: int) -> None:
-        """Graft the GPSR path ``root -> node`` onto the tree.
+        """Graft the GPSR path ``root -> node`` onto the tree."""
+        self.add_destinations((node,))
 
-        The path is walked backward from the destination and grafting stops
-        at the first node already in the tree, so shared prefixes are never
-        re-added and the structure stays a tree (each node has one parent).
+    def add_destinations(self, nodes: Iterable[int]) -> None:
+        """Graft the GPSR path ``root -> node`` of each node, in order.
+
+        Each path is scanned backward from its destination to the first
+        node already in the tree, and grafted from there on, so shared
+        prefixes are never re-added and the structure stays a tree (each
+        node has one parent).
         """
+        destinations = self._destinations
+        parents = self._parents
         depths = self._depths
-        if node in depths:
-            if node not in self._destinations:
-                self._destinations.append(node)
-            return
-        # Route planning, not a send: the grafted edges are charged in
-        # bulk when the finished tree is disseminated.
-        path = self.router.path(self.root, node)  # repro-lint: ignore[REP101]
-        # Find the deepest path node already in the tree; splice from there.
-        splice_index = 0
-        for index, hop in enumerate(path):
-            if hop in depths:
-                splice_index = index
-        for parent, child in zip(path[splice_index:], path[splice_index + 1 :]):
-            if child in depths:
-                # The path re-enters the tree; keep the existing parent.
-                continue
-            self._edges.add((parent, child))
-            self._parents[child] = parent
-            depths[child] = depths[parent] + 1
-        self._destinations.append(node)
-
-    def add_destinations(self, nodes: list[int]) -> None:
-        """Graft several destinations (deterministic order)."""
+        router = self.router
+        root = self.root
         for node in nodes:
-            self.add_destination(node)
+            if node in depths:
+                destinations[node] = None
+                continue
+            # Route planning, not a send: the grafted edges are charged in
+            # bulk when the finished tree is disseminated.
+            path = router.path(root, node)  # repro-lint: ignore[REP101]
+            # The root at index 0 is always in the tree.
+            splice = len(path) - 1
+            while path[splice] not in depths:
+                splice -= 1
+            parent = path[splice]
+            for child in path[splice + 1 :]:
+                # A node the path re-enters keeps its existing parent.
+                if child not in depths:
+                    parents[child] = parent
+                    depths[child] = depths[parent] + 1
+                parent = child
+            destinations[node] = None
 
     def build(self) -> MulticastTree:
         """Freeze the current tree.
@@ -179,7 +183,6 @@ class TreeBuilder:
         return MulticastTree(
             root=self.root,
             destinations=tuple(self._destinations),
-            edges=frozenset(self._edges),
             parents=dict(self._parents),
             depths=dict(self._depths),
         )

@@ -6,12 +6,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dim.zones import ZoneTree
+from repro.dim.index import DimIndex
+from repro.dim.zones import Zone, ZoneTree
 from repro.events.queries import RangeQuery
 from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.network.network import Network
 from repro.network.topology import deploy_uniform
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+#: Multiples of 1/64: every split midpoint of the first six levels per
+#: axis (0.5, 0.25, 0.375, 0.5625, ...), and the unit interval's ends.
+_DYADIC = [i / 64 for i in range(65)]
+
+
+def _stack_descent(tree: ZoneTree, query: RangeQuery) -> list[Zone]:
+    """The value-space descent ``zones_for_query`` used to run, frozen.
+
+    A child's box differs from its parent's only on the split axis
+    ``depth mod k``, so each child is tested on that axis alone.
+    """
+    if not tree.root.overlaps(query):
+        return []
+    bounds = query.bounds
+    result: list[Zone] = []
+    stack = [tree.root]
+    while stack:
+        zone = stack.pop()
+        if zone.is_leaf:
+            result.append(zone)
+            continue
+        assert zone.low is not None and zone.high is not None
+        dim = zone.depth % tree.dimensions
+        q_lo, q_hi = bounds[dim]
+        for child in (zone.high, zone.low):
+            lo, hi = child.value_box[dim]
+            if not (hi < q_lo or q_hi < lo):
+                stack.append(child)
+    result.sort(key=lambda z: z.code)
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -140,30 +173,46 @@ class TestQueryDecomposition:
         with pytest.raises(DimensionMismatchError):
             tree.zones_for_query(RangeQuery.of((0.0, 1.0)))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=2, max_value=60),
         st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=5),
         st.data(),
     )
     def test_descent_equals_leaf_scan(self, n, seed, dimensions, data):
-        # The single-axis descent must prune exactly like testing every
-        # leaf's whole value box.
-        tree = ZoneTree(
-            deploy_uniform(n, seed=seed, target_degree=8, require_connected=False),
-            dimensions,
+        # The leaf-box mask must select what both oracles select: a
+        # whole-box test of every leaf, and the single-axis descent it
+        # replaced.  Dyadic bounds land on split midpoints, where the
+        # closed comparisons decide.
+        topology = deploy_uniform(
+            n, seed=seed, target_degree=8, require_connected=False
         )
-        value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), unit)
+        tree = ZoneTree(topology, dimensions)
+        value = st.one_of(st.sampled_from(_DYADIC), unit)
         bounds = []
         for _ in range(dimensions):
-            lo, hi = sorted((data.draw(value), data.draw(value)))
-            bounds.append((lo, hi))
+            lo = data.draw(value)
+            hi = lo if data.draw(st.booleans()) else data.draw(value)
+            bounds.append(tuple(sorted((lo, hi))))
         query = RangeQuery(tuple(bounds))
+        zones = tree.zones_for_query(query)
         expected = sorted(
             (z for z in tree.leaves if z.overlaps(query)), key=lambda z: z.code
         )
-        assert tree.zones_for_query(query) == expected
+        assert zones == expected
+        assert zones == _stack_descent(tree, query)
+        plan = DimIndex(Network(topology), dimensions).plan_query(0, query)
+        assert plan.destinations == tuple(sorted({z.owner for z in zones}))
+        assert plan.cells == tuple(z.code for z in zones)
+
+    def test_point_query_on_split_midpoints(self, tree):
+        # A point on a split plane touches the leaves on both sides.
+        for values in ((0.5, 0.5, 0.5), (0.25, 0.75, 0.125), (0.0, 1.0, 0.5625)):
+            query = RangeQuery.point(*values)
+            zones = tree.zones_for_query(query)
+            assert zones == _stack_descent(tree, query)
+            assert tree.leaf_for_values(values) in zones
 
     def test_iter_zones_contains_leaves(self, tree):
         all_zones = list(tree.iter_zones())

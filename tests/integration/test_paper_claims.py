@@ -132,6 +132,34 @@ class TestFigure7Claims:
         assert pool_1at3 < dim_1at3
 
 
+class TestOrderingAcrossSeeds:
+    """Pool < DIM (Figures 6 and 7) must not hinge on seed 0's draws."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pool_cheaper_than_dim(self, seed):
+        result = run_experiment(
+            _config(
+                f"fig6-fig7-seed{seed}",
+                sizes=(150, 450),
+                workloads=(
+                    QueryWorkload(dimensions=3, range_sizes="uniform",
+                                  label="exact"),
+                    QueryWorkload(dimensions=3, kind="partial", unspecified=1,
+                                  label="1-partial"),
+                    QueryWorkload(dimensions=3, kind="partial", unspecified=2,
+                                  label="2-partial"),
+                ),
+                trials=1,
+            ),
+            seed=seed,
+        )
+        for size in (150, 450):
+            for label in ("exact", "1-partial", "2-partial"):
+                pool = result.cell("pool", size, label).mean_cost
+                dim = result.cell("dim", size, label).mean_cost
+                assert pool < dim, f"n={size}, {label}"
+
+
 class TestInsertionClaim:
     def test_insert_costs_conceptually_the_same(self, fig6_small):
         """Paper §5.2: both systems route one GPSR unicast per event."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import DeliveryError
 from repro.network.topology import deploy_uniform
 from repro.routing.gpsr import GPSRRouter
 from repro.routing.multicast import TreeBuilder
@@ -127,3 +128,83 @@ class TestTreeInvariants:
         hops = router.hops(root, destination) if destination != root else 0
         assert tree.height() == hops
         assert tree.forward_cost == hops
+
+
+class _ForwardScanBuilder:
+    """The forward-scan tree builder, frozen as an oracle.
+
+    It walks each path from the root, remembers the last hop already in
+    the tree as the splice point, and keeps the edge set it grafts.
+    """
+
+    def __init__(self, router: GPSRRouter, root: int) -> None:
+        self.router = router
+        self.root = root
+        self.edges: set[tuple[int, int]] = set()
+        self.destinations: list[int] = []
+        self.parents: dict[int, int] = {}
+        self.depths: dict[int, int] = {root: 0}
+
+    def add_destination(self, node: int) -> None:
+        depths = self.depths
+        if node in depths:
+            if node not in self.destinations:
+                self.destinations.append(node)
+            return
+        path = self.router.path(self.root, node)
+        splice_index = 0
+        for index, hop in enumerate(path):
+            if hop in depths:
+                splice_index = index
+        for parent, child in zip(path[splice_index:], path[splice_index + 1 :]):
+            if child in depths:
+                continue
+            self.edges.add((parent, child))
+            self.parents[child] = parent
+            depths[child] = depths[parent] + 1
+        self.destinations.append(node)
+
+
+class TestBackwardSplice:
+    @given(
+        st.integers(min_value=20, max_value=90),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=5, max_value=8),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_forward_scan(self, n, seed, degree, data):
+        # Sparse fields route many paths through perimeter mode, where a
+        # path leaves the tree and re-enters it.  Destinations repeat,
+        # include the root, and include relays already in the tree.
+        topology = deploy_uniform(
+            n, seed=seed, target_degree=degree, require_connected=False
+        )
+        router = GPSRRouter(topology)
+        root = data.draw(st.integers(min_value=0, max_value=n - 1))
+        oracle = _ForwardScanBuilder(router, root)
+        nodes: list[int] = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+            choices = [
+                st.integers(min_value=0, max_value=n - 1),
+                st.just(root),
+                st.sampled_from(sorted(oracle.depths)),
+            ]
+            if nodes:
+                choices.append(st.sampled_from(nodes))
+            node = data.draw(st.one_of(choices))
+            try:
+                router.path(root, node)
+            except DeliveryError:
+                continue
+            oracle.add_destination(node)
+            nodes.append(node)
+        builder = TreeBuilder(router, root)
+        builder.add_destinations(nodes)
+        tree = builder.build()
+        assert tree.parents == oracle.parents
+        assert tree.depths == oracle.depths
+        assert tree.destinations == tuple(oracle.destinations)
+        assert tree.edges == frozenset(oracle.edges)
+        assert tree.forward_cost == len(oracle.edges)
+        assert tree.height() == max(oracle.depths.values())

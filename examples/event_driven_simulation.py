@@ -77,7 +77,7 @@ def main() -> None:
         simulator.nodes[sleeper].wake()
 
     print("\n(event-driven and synchronous accounting agree; see "
-          "tests/network/test_simulator.py for the systematic check)")
+          "tests/network/test_arq_modes.py for the systematic check)")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ Quickstart
     result = pool.query(sink=0, query=query)
     print(result.match_count, "matches for", result.total_cost, "messages")
 
-See ``examples/`` for richer scenarios and ``benchmarks/`` plus the
-``pool-bench`` CLI for the paper's Figure 6/7 reproductions.
+See ``examples/`` for richer scenarios and the ``pool-bench`` CLI for
+the paper's Figure 6/7 reproductions.
 """
 
 from repro.aggregates import AggregateKind, AggregateState

@@ -12,8 +12,8 @@ top of *any* :class:`~repro.dcs.DataCentricStore` (Pool or DIM):
    cube, where the query is exact by definition.
 
 Each round's message cost comes from the underlying store's own range
-machinery, so the k-NN cost inherits Pool's pruning advantage over DIM —
-measured in ``benchmarks/test_extensions.py``.
+machinery, so the k-NN cost inherits Pool's pruning advantage over DIM
+(``tests/core/test_extensions.py`` checks it).
 """
 
 from __future__ import annotations

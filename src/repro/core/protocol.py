@@ -15,9 +15,13 @@ asynchronous message passing —
    in-network aggregation exactly as Section 3.2.3 describes;
 4. the splitter relays the Pool's combined answer back to the sink.
 
-``tests/core/test_protocol.py`` asserts that the events returned and the
-per-category message counts equal :meth:`PoolSystem.query`'s synchronous
-result, message for message.
+Every hop is a :meth:`Simulator.hop` (legs are :meth:`Simulator.send_path`
+walks of them), so the oracle runs under the simulator's reliability
+layer: loss, ARQ retries and fault-plan deaths reach it exactly as they
+reach the synchronous path, and a failed hop silences its branch.
+``tests/core/test_protocol.py`` asserts that, lossless, the events and
+the per-category message counts equal :meth:`PoolSystem.query`'s
+synchronous result, message for message, and checks the lossy cases.
 
 The query packet carries its forwarding tree (source routing), which is
 how small dissemination trees are shipped in practice; holders do not
@@ -171,6 +175,12 @@ class _Execution:
             if self.outstanding_pools == 0:
                 self.completed_at = sim.now
 
+        def silence_pool(_prefix: list[int]) -> None:
+            # The sink->splitter leg (or the combined answer's way home)
+            # failed: every contributor of this pool goes unanswered.
+            self.unreachable.update(tree.depths)
+            finish_pool([])
+
         def subtree_nodes(node: int) -> list[int]:
             reached = [node]
             stack = [node]
@@ -181,10 +191,10 @@ class _Execution:
             return reached
 
         def fail_branch(node: int) -> None:
-            # A relay/holder died with the query in flight: its whole
-            # subtree's answers are lost, but the rest of the tree (and
-            # the other pools) still resolve — graceful degradation, not
-            # a DeliveryError.
+            # A relay/holder died, or a hop ran out of retries, with the
+            # query in flight: its whole subtree's answers are lost, but
+            # the rest of the tree (and the other pools) still resolve —
+            # graceful degradation, not a DeliveryError.
             if node in run.failed:
                 return
             branch = subtree_nodes(node)
@@ -201,28 +211,6 @@ class _Execution:
             if run.pending[parent] == 0 and parent not in run.failed:
                 reply_up(parent)
 
-        def deliver_to_splitter(index: int) -> None:
-            if index < len(sink_path) - 1:
-                receiver = sink_path[index + 1]
-                sim.stats.record(
-                    MessageCategory.QUERY_FORWARD,
-                    sender=sink_path[index],
-                    receiver=receiver,
-                )
-
-                def forward_arrive() -> None:
-                    # Liveness decided when the hop lands: a dead relay
-                    # on the sink->splitter leg silences the whole pool.
-                    if not sim.nodes[receiver].alive:
-                        self.unreachable.update(tree.depths)
-                        finish_pool([])
-                        return
-                    deliver_to_splitter(index + 1)
-
-                sim.schedule(sim.hop_latency, forward_arrive)
-            else:
-                disseminate(splitter)
-
         def disseminate(node: int) -> None:
             if not sim.nodes[node].alive:
                 fail_branch(node)
@@ -232,63 +220,41 @@ class _Execution:
                 reply_up(node)
                 return
             for child in kids:
-                sim.stats.record(
-                    MessageCategory.QUERY_FORWARD, sender=node, receiver=child
+                sim.hop(
+                    MessageCategory.QUERY_FORWARD, node, child,
+                    lambda c=child: disseminate(c), lambda c=child: fail_branch(c),
                 )
-                sim.schedule(sim.hop_latency, lambda c=child: disseminate(c))
 
         def reply_up(node: int) -> None:
             if node in run.failed:
                 return
-            if not sim.nodes[node].alive:
-                fail_branch(node)
-                return
             parent = parents.get(node)
             if parent is None:
-                pool_done(run.partials[node])
-                return
-            sim.stats.record(
-                MessageCategory.QUERY_REPLY, sender=node, receiver=parent
-            )
-
-            def arrive() -> None:
-                if not sim.nodes[parent].alive:
-                    fail_branch(parent)
+                if not sim.nodes[node].alive:
+                    fail_branch(node)
                     return
+                # Splitter -> sink relay of the aggregated pool answer.
+                sim.send_path(
+                    MessageCategory.QUERY_REPLY, sink_path[::-1],
+                    lambda: finish_pool(run.partials[node]), silence_pool,
+                )
+                return
+
+            def merged() -> None:
                 run.partials[parent].extend(run.partials[node])
                 child_done(parent)
 
-            sim.schedule(sim.hop_latency, arrive)
+            def lost() -> None:
+                # A dead parent takes its whole branch down; a hop lost
+                # to a live parent silences only this child's subtree.
+                fail_branch(node if sim.nodes[parent].alive else parent)
 
-        def pool_done(pool_events: list[Event]) -> None:
-            # Splitter -> sink relay of the aggregated pool answer.
-            def relay(index: int) -> None:
-                if index > 0:
-                    receiver = sink_path[index - 1]
-                    sim.stats.record(
-                        MessageCategory.QUERY_REPLY,
-                        sender=sink_path[index],
-                        receiver=receiver,
-                    )
+            sim.hop(MessageCategory.QUERY_REPLY, node, parent, merged, lost)
 
-                    def reply_arrive() -> None:
-                        if not sim.nodes[receiver].alive:
-                            # The pool's combined answer died on the way
-                            # home; every contributor goes unanswered.
-                            self.unreachable.update(tree.depths)
-                            finish_pool([])
-                            return
-                        relay(index - 1)
-
-                    sim.schedule(sim.hop_latency, reply_arrive)
-                else:
-                    finish_pool(pool_events)
-            relay(len(sink_path) - 1)
-
-        if len(sink_path) < 2:
-            disseminate(splitter)
-        else:
-            deliver_to_splitter(0)
+        sim.send_path(
+            MessageCategory.QUERY_FORWARD, sink_path,
+            lambda: disseminate(splitter), silence_pool,
+        )
 
 
 def run_query_on_simulator(

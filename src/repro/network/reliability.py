@@ -451,6 +451,76 @@ class ReliabilityLayer:
             radio_range=radio_range,
         )
 
+    def transmit(
+        self,
+        category: MessageCategory,
+        sender: int,
+        receiver: int,
+        attempt: int,
+        stats: "MessageStats",
+        *,
+        sender_alive: bool = True,
+        flight: "FlightRecorder | None" = None,
+        pid: int | None = None,
+    ) -> bool | None:
+        """Send attempt ``attempt`` (0 first) of a hop; ``True`` if it survives.
+
+        Advances the clock (applying due deaths), then checks the sender:
+        a dead one (or ``sender_alive=False``) fails the hop, returning
+        ``None``.  Otherwise the attempt is charged, under ``category``
+        first and ``RETRANSMIT`` after, and the loss is drawn.
+        """
+        tick = self.begin_transmission()
+        if sender in self.dead or not sender_alive:
+            self.failed_hops += 1
+            if flight is not None and pid is not None:
+                flight.record(pid, "failed", sender, receiver, "sender-dead")
+            return None
+        charge = category if attempt == 0 else MessageCategory.RETRANSMIT
+        stats.record(charge, sender=sender, receiver=receiver)
+        self.attempted += 1
+        if attempt > 0:
+            self.retransmissions += 1
+            if flight is not None and pid is not None:
+                flight.record(pid, "retransmit", sender, receiver, attempt)
+        return not self.transmission_lost(tick, category, sender, receiver)
+
+    def land(
+        self,
+        sender: int,
+        receiver: int,
+        attempt: int,
+        arrived: bool,
+        stats: "MessageStats",
+        *,
+        flight: "FlightRecorder | None" = None,
+        pid: int | None = None,
+        mode: str | None = None,
+    ) -> bool | None:
+        """Land an attempt: ``True`` delivered, ``False`` failed, ``None`` retry.
+
+        A recovered hop adds one ``ACK`` from receiver back to sender; a
+        lost attempt fails the hop once ``retry_limit`` retries are spent.
+        """
+        if arrived:
+            self.delivered += 1
+            if flight is not None and pid is not None:
+                flight.record(pid, "hop", sender, receiver, mode)
+            if attempt > 0:
+                stats.record(MessageCategory.ACK, sender=receiver, receiver=sender)
+                self.acks += 1
+                if flight is not None and pid is not None:
+                    flight.record(pid, "ack", receiver, sender, attempt)
+            return True
+        if flight is not None and pid is not None:
+            flight.record(pid, "loss", sender, receiver, attempt)
+        if attempt >= self.arq.retry_limit:
+            self.failed_hops += 1
+            if flight is not None and pid is not None:
+                flight.record(pid, "failed", sender, receiver, "arq-exhausted")
+            return False
+        return None
+
     def deliver_hop(
         self,
         category: MessageCategory,
@@ -462,56 +532,27 @@ class ReliabilityLayer:
         pid: int | None = None,
         mode: str | None = None,
     ) -> bool:
-        """Attempt one hop under ARQ; charge every attempt to ``stats``.
+        """One hop under ARQ: :meth:`transmit` then :meth:`land` until the
+        hop delivers (``True``) or fails (``False``).
 
-        Returns ``True`` when the hop eventually delivered, ``False`` when
-        the retry budget ran out (or an endpoint is dead).  The first
-        attempt is charged under ``category``; retransmissions under
-        ``RETRANSMIT``; a recovered exchange adds one explicit ``ACK``
-        from receiver back to sender.
-
-        With ``flight``/``pid`` set, the ARQ lifecycle is appended to the
-        flight-recorder ring: a ``retransmit`` per re-attempt, a ``loss``
-        per in-flight drop, the delivered ``hop`` (annotated with the
-        GPSR ``mode``) plus its recovery ``ack``, or a terminal
-        ``failed`` when the budget runs out.  Recording never changes a
-        decision: the loss streams and ledger charges are untouched.
+        With ``flight``/``pid`` set, each step appends its ``retransmit``,
+        ``loss``, ``hop`` (annotated with the GPSR ``mode``), ``ack`` or
+        ``failed`` event to the flight-recorder ring; recording never
+        changes a decision.
         """
-        if flight is None or pid is None:
-            flight = None
-            pid = None
         attempt = 0
         while True:
-            tick = self.begin_transmission()
-            if sender in self.dead:
-                self.failed_hops += 1
-                if flight is not None and pid is not None:
-                    flight.record(pid, "failed", sender, receiver, "sender-dead")
+            arrived = self.transmit(
+                category, sender, receiver, attempt, stats, flight=flight, pid=pid
+            )
+            if arrived is None:
                 return False
-            charge = category if attempt == 0 else MessageCategory.RETRANSMIT
-            stats.record(charge, sender=sender, receiver=receiver)
-            self.attempted += 1
-            if attempt > 0:
-                self.retransmissions += 1
-                if flight is not None and pid is not None:
-                    flight.record(pid, "retransmit", sender, receiver, attempt)
-            if not self.transmission_lost(tick, category, sender, receiver):
-                self.delivered += 1
-                if flight is not None and pid is not None:
-                    flight.record(pid, "hop", sender, receiver, mode)
-                if attempt > 0:
-                    stats.record(MessageCategory.ACK, sender=receiver, receiver=sender)
-                    self.acks += 1
-                    if flight is not None and pid is not None:
-                        flight.record(pid, "ack", receiver, sender, attempt)
-                return True
-            if flight is not None and pid is not None:
-                flight.record(pid, "loss", sender, receiver, attempt)
-            if attempt >= self.arq.retry_limit:
-                self.failed_hops += 1
-                if flight is not None and pid is not None:
-                    flight.record(pid, "failed", sender, receiver, "arq-exhausted")
-                return False
+            outcome = self.land(
+                sender, receiver, attempt, arrived, stats,
+                flight=flight, pid=pid, mode=mode,
+            )
+            if outcome is not None:
+                return outcome
             attempt += 1
 
     def send_path(

@@ -12,6 +12,9 @@ Design notes
 ------------
 * The event queue is a binary heap of ``(time, seq, callback)``; ``seq``
   breaks ties FIFO so runs are deterministic.
+* A unicast hop is the reliability layer's ARQ step (``transmit`` now,
+  ``land`` one ``hop_latency`` later), the same step the synchronous
+  ``deliver_hop`` loops over.
 * Radio broadcast (beacons) costs one transmission regardless of the
   number of listeners — that is how real low-power radios behave and how
   the paper's "periodic exchange of beacon messages" should be priced.
@@ -22,13 +25,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.exceptions import ConfigurationError, DeliveryError
 from repro.network.messages import Message, MessageCategory
 from repro.network.node import SimNode
 from repro.network.radio import MessageStats
-from repro.network.reliability import ReliabilityLayer
+from repro.network.reliability import ArqPolicy, LossModel, ReliabilityLayer
 from repro.network.topology import Topology
 from repro.routing.gpsr import GPSRRouter
 
@@ -97,6 +100,8 @@ class Simulator:
             reliability.bind(topology)
             if reliability.on_death is None:
                 reliability.on_death = self._kill_nodes
+        lossless = ReliabilityLayer(LossModel(0.0), ArqPolicy(retry_limit=0))
+        self._arq = reliability if reliability is not None else lossless
 
     def _kill_nodes(self, nodes: tuple[int, ...]) -> None:
         """Fault-plan deaths take effect in the simulated world too."""
@@ -167,121 +172,104 @@ class Simulator:
     ) -> Message:
         """Send a unicast message hop by hop along the GPSR path.
 
-        Each hop is one scheduled radio transmission; the destination
-        node's handler (and ``on_delivered``) fire at arrival time.
-        Liveness is re-checked when each hop *lands*, so a relay that
-        dies after the message was scheduled never forwards it.  A hop
-        that cannot deliver (dead relay/destination, or ARQ budget
-        exhausted under a reliability layer) calls ``on_failed`` with the
-        reached prefix — or raises :class:`DeliveryError` when no handler
-        was given.
+        The destination node's handler (and ``on_delivered``) fire at
+        arrival time.  A hop that cannot deliver (see :meth:`hop`) calls
+        ``on_failed`` with the reached prefix — or raises
+        :class:`DeliveryError` when no handler was given.
         """
         message = Message(category=category, src=src, dst=dst, payload=payload)
         path = self.router.path(src, dst)
+
+        def failed(partial: list[int]) -> None:
+            if on_failed is None:
+                raise DeliveryError(
+                    f"message {message.msg_id} dropped at node {partial[-1]}", partial
+                )
+            on_failed(message, partial)
+
+        def delivered() -> None:
+            node = self.nodes[dst]
+            if not node.alive:
+                failed(path)
+                return
+            node.deliver(message)
+            if on_delivered is not None:
+                on_delivered(message)
+
         if len(path) < 2:
-            self.schedule(0.0, lambda: self._arrive(message, on_delivered, on_failed, path))
-            return message
-        self._forward_along(message, path, 0, on_delivered, on_failed)
+            self.schedule(0.0, delivered)
+        else:
+            self.send_path(category, path, delivered, failed)
         return message
 
-    def _forward_along(
+    def send_path(
         self,
-        message: Message,
-        path: list[int],
-        index: int,
-        on_delivered: Callable[[Message], None] | None,
-        on_failed: Callable[[Message, list[int]], None] | None = None,
+        category: MessageCategory,
+        path: Sequence[int],
+        on_delivered: Callable[[], None],
+        on_failed: Callable[[list[int]], None],
+    ) -> None:
+        """Walk ``path`` one :meth:`hop` at a time.
+
+        ``on_delivered()`` fires when the last hop lands (at once for a
+        one-node path); ``on_failed(prefix)`` when a hop fails, with the
+        prefix of ``path`` the message reached.
+        """
+
+        def walk(index: int) -> None:
+            if index == len(path) - 1:
+                on_delivered()
+                return
+            self.hop(
+                category, path[index], path[index + 1],
+                lambda: walk(index + 1),
+                lambda: on_failed(list(path[: index + 1])),
+            )
+
+        walk(0)
+
+    def hop(
+        self,
+        category: MessageCategory,
+        sender: int,
+        receiver: int,
+        on_landed: Callable[[], None],
+        on_failed: Callable[[], None],
         attempt: int = 0,
     ) -> None:
-        if index == len(path) - 1:
-            self._arrive(message, on_delivered, on_failed, path)
-            return
-        sender, receiver = path[index], path[index + 1]
-        if not self.nodes[sender].alive:
-            self._fail(
-                message,
-                path[: index + 1],
-                on_failed,
-                f"node {sender} is asleep; message {message.msg_id} dropped",
-            )
-            return
-        rel = self.reliability
-        charge = message.category if attempt == 0 else MessageCategory.RETRANSMIT
-        self.stats.record(charge, sender=sender, receiver=receiver)
-        lost = False
-        if rel is not None:
-            tick = rel.begin_transmission()
-            rel.attempted += 1
-            if attempt > 0:
-                rel.retransmissions += 1
-            lost = rel.transmission_lost(tick, message.category, sender, receiver)
+        """One radio hop under the reliability layer's ARQ step.
 
-        def at_arrival() -> None:
-            # Liveness decided when the hop lands, not when it was
-            # scheduled: a relay that died in flight cannot forward.
-            if lost or not self.nodes[receiver].alive:
-                if rel is not None and attempt < rel.arq.retry_limit:
-                    self.schedule(
-                        rel.arq.backoff(attempt + 1),
-                        lambda: self._forward_along(
-                            message, path, index, on_delivered, on_failed, attempt + 1
-                        ),
-                    )
-                else:
-                    if rel is not None:
-                        rel.failed_hops += 1
-                    self._fail(
-                        message,
-                        path[: index + 1],
-                        on_failed,
-                        f"hop {sender}->{receiver} undeliverable; "
-                        f"message {message.msg_id} dropped",
-                    )
-                return
-            if rel is not None:
-                rel.delivered += 1
-                if attempt > 0:
-                    self.stats.record(
-                        MessageCategory.ACK, sender=receiver, receiver=sender
-                    )
-                    rel.acks += 1
-            self._forward_along(message, path, index + 1, on_delivered, on_failed)
-
-        self.schedule(self.hop_latency, at_arrival)
-
-    def _fail(
-        self,
-        message: Message,
-        partial: list[int],
-        on_failed: Callable[[Message, list[int]], None] | None,
-        reason: str,
-    ) -> None:
-        if on_failed is not None:
-            on_failed(message, list(partial))
+        Each attempt is transmitted now, lands ``hop_latency`` later and,
+        if lost, is retried after ``arq.backoff``.  The sender must also
+        be awake when it sends and the receiver when the frame lands, so
+        a relay that dies with the frame in the air never forwards it.
+        Without a layer the hop runs lossless with no retries.
+        """
+        arq, nodes = self._arq, self.nodes
+        arrived = arq.transmit(
+            category, sender, receiver, attempt, self.stats,
+            sender_alive=nodes[sender].alive,
+        )
+        if arrived is None:
+            on_failed()
             return
-        raise DeliveryError(reason, list(partial))
 
-    def _arrive(
-        self,
-        message: Message,
-        on_delivered: Callable[[Message], None] | None,
-        on_failed: Callable[[Message, list[int]], None] | None = None,
-        path: list[int] | None = None,
-    ) -> None:
-        assert message.dst is not None
-        node = self.nodes[message.dst]
-        if not node.alive:
-            self._fail(
-                message,
-                path if path is not None else [message.dst],
-                on_failed,
-                f"destination {message.dst} died before message "
-                f"{message.msg_id} arrived",
-            )
-            return
-        node.deliver(message)
-        if on_delivered is not None:
-            on_delivered(message)
+        def land() -> None:
+            arrived_awake = arrived and nodes[receiver].alive
+            outcome = arq.land(sender, receiver, attempt, arrived_awake, self.stats)
+            if outcome is None:
+                self.schedule(
+                    arq.arq.backoff(attempt + 1),
+                    lambda: self.hop(
+                        category, sender, receiver, on_landed, on_failed, attempt + 1
+                    ),
+                )
+            elif outcome:
+                on_landed()
+            else:
+                on_failed()
+
+        self.schedule(self.hop_latency, land)
 
 
 class BeaconProtocol:

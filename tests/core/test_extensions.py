@@ -161,6 +161,18 @@ class TestContinuousQueries:
         sub = ContinuousQueryService(pool).register(0, query)
         assert sub.registration_cost == pool.query(0, query).forward_cost
 
+    def test_selective_query_costs_under_a_message_per_insert(self, topo300):
+        # Only matching inserts pay a push, so a selective standing query
+        # adds well under one NOTIFY per insert.
+        pool = PoolSystem(Network(topo300), 3, seed=1)
+        service = ContinuousQueryService(pool)
+        sub = service.register(0, RangeQuery.partial(3, {0: (0.9, 1.0)}))
+        events = generate_events(300, 3, seed=8, sources=list(topo300))
+        for event in events:
+            pool.insert(event)
+        assert sub.notifications > 0
+        assert service.notify_cost() < len(events)
+
     def test_local_match_costs_no_notify_message(self, topo300):
         pool = PoolSystem(Network(topo300), 3, seed=1)
         service = ContinuousQueryService(pool)
@@ -192,6 +204,18 @@ class TestNearestNeighbors:
             assert [e.values for e in result.neighbors] == [
                 e.values for e in expected
             ]
+
+    def test_pool_pruning_makes_knn_cheaper_than_dim(self, loaded_world):
+        pool, dim, _ = loaded_world
+        targets = [(0.3, 0.4, 0.5), (0.8, 0.2, 0.6), (0.55, 0.52, 0.1)]
+        costs = {
+            name: sum(
+                nearest_neighbors(store, 0, target, k=5).total_cost
+                for target in targets
+            )
+            for name, store in (("pool", pool), ("dim", dim))
+        }
+        assert costs["pool"] < costs["dim"]
 
     def test_distances_sorted(self, loaded_world):
         pool, _, _ = loaded_world

@@ -13,7 +13,9 @@ from repro.events.generators import (
 )
 from repro.events.queries import RangeQuery
 from repro.exceptions import DimensionMismatchError, QueryError
+from repro.network.messages import MessageCategory
 from repro.network.network import Network
+from repro.network.reliability import DropRule, FaultPlan, LossModel, ReliabilityLayer
 from repro.network.simulator import Simulator
 from repro.network.topology import deploy_uniform
 
@@ -157,3 +159,53 @@ class TestMidQueryFaults:
             system, simulator, 0, RangeQuery.partial(3, {0: (0.4, 0.6)})
         )
         assert run.complete and run.unreachable_nodes == ()
+
+
+class TestUnderReliabilityLayer:
+    """The oracle's hops run the reliability layer's ARQ step, so loss,
+    retransmissions and fault plans reach it exactly as they reach the
+    synchronous path."""
+
+    QUERY = RangeQuery.partial(3, {0: (0.4, 0.6)})
+
+    @staticmethod
+    def _layered(world, plan=None):
+        system, _, _ = world
+        rel = ReliabilityLayer(loss=LossModel(0.0), fault_plan=plan)
+        simulator = Simulator(
+            system.network.topology, hop_latency=0.01, reliability=rel
+        )
+        return system, simulator, rel
+
+    def test_lossless_layer_changes_nothing(self, world):
+        system, plain, _ = world
+        baseline = run_query_on_simulator(system, plain, 0, self.QUERY)
+        ledger = plain.stats.snapshot()
+        _, simulator, rel = self._layered(world)
+        run = run_query_on_simulator(system, simulator, 0, self.QUERY)
+        assert simulator.stats.snapshot() == ledger
+        assert sorted(e.values for e in run.events) == sorted(
+            e.values for e in baseline.events
+        )
+        assert rel.attempted == rel.delivered == run.total_cost > 0
+
+    def test_every_transmission_dropped_answers_nothing(self, world):
+        system, simulator, rel = self._layered(
+            world, FaultPlan(drops=(DropRule(every=1),))
+        )
+        run = run_query_on_simulator(system, simulator, 0, self.QUERY)
+        assert not run.complete
+        assert run.events == []
+        assert rel.delivered == 0 and rel.failed_hops > 0
+
+    def test_first_transmission_dropped_is_recovered(self, world):
+        system, simulator, _ = self._layered(
+            world, FaultPlan(drops=(DropRule(at=(0,)),))
+        )
+        run = run_query_on_simulator(system, simulator, 0, self.QUERY)
+        assert simulator.stats.count(MessageCategory.RETRANSMIT) == 1
+        assert simulator.stats.count(MessageCategory.ACK) == 1
+        assert run.complete
+        assert sorted(e.values for e in run.events) == sorted(
+            e.values for e in system.query(0, self.QUERY).events
+        )

@@ -54,6 +54,8 @@ def fig7_small():
                               label="1@1"),
                 QueryWorkload(dimensions=3, kind="partial", unspecified=(2,),
                               label="1@3"),
+                QueryWorkload(dimensions=3, kind="partial", unspecified=(1,),
+                              label="1@2"),
             ),
             queries=20,
         ),
@@ -78,6 +80,28 @@ class TestFigure6Claims:
         pool_growth = pool[-1] / pool[0]
         dim_growth = dim[-1] / dim[0]
         assert pool_growth < dim_growth
+
+    def test_exponential_panel_keeps_the_shape(self, fig6_small):
+        """Figure 6(b): same ordering and growth as 6(a), below it at every size."""
+        fig6b = run_experiment(
+            _config(
+                "fig6b-sizes",
+                sizes=(150, 450, 900),
+                workloads=(QueryWorkload(dimensions=3, range_sizes="exponential"),),
+            ),
+            seed=0,
+        )
+        pool = [cost for _, cost in fig6b.series("pool")]
+        dim = [cost for _, cost in fig6b.series("dim")]
+        for size, pool_cost, dim_cost in zip((150, 450, 900), pool, dim):
+            assert pool_cost < dim_cost, f"at n={size}"
+        assert dim[-1] > 1.3 * dim[0]
+        assert pool[-1] / pool[0] < dim[-1] / dim[0]
+        for system in ("pool", "dim"):
+            for (size, uniform), (_, exponential) in zip(
+                fig6_small.series(system), fig6b.series(system)
+            ):
+                assert exponential < uniform, f"{system} at n={size}"
 
     def test_exponential_much_cheaper_than_uniform(self):
         result = run_experiment(
@@ -131,6 +155,19 @@ class TestFigure7Claims:
         assert pool_1at1 < dim_1at1
         assert pool_1at3 < dim_1at3
 
+    def test_pool_flat_and_cheaper_at_every_unspecified_dimension(self, fig7_small):
+        labels = ("1@1", "1@2", "1@3")
+        pool = [fig7_small.cell("pool", 450, label).mean_cost for label in labels]
+        dim = [fig7_small.cell("dim", 450, label).mean_cost for label in labels]
+        assert (max(pool) - min(pool)) / max(pool) < 0.35
+        for label, pool_cost, dim_cost in zip(labels, pool, dim):
+            assert pool_cost < dim_cost, label
+
+    def test_dim_costs_a_multiple_of_pool_on_one_partial(self, fig7_small):
+        pool = fig7_small.cell("pool", 450, "1-partial").mean_cost
+        dim = fig7_small.cell("dim", 450, "1-partial").mean_cost
+        assert dim > 1.5 * pool
+
 
 class TestOrderingAcrossSeeds:
     """Pool < DIM (Figures 6 and 7) must not hinge on seed 0's draws."""
@@ -158,6 +195,36 @@ class TestOrderingAcrossSeeds:
                 pool = result.cell("pool", size, label).mean_cost
                 dim = result.cell("dim", size, label).mean_cost
                 assert pool < dim, f"n={size}, {label}"
+
+
+class TestDesignAblations:
+    """The design-choice ablations (``pool-bench abl-splitter``/``abl-l``)."""
+
+    @pytest.fixture(scope="class")
+    def ablations(self):
+        config = ExperimentConfig(
+            name="ablations-small",
+            title="ablations-small",
+            network_sizes=(300,),
+            query_workloads=(
+                QueryWorkload(dimensions=3, range_sizes="uniform", label="exact"),
+            ),
+            query_count=12,
+            trials=2,
+            systems=("pool", "pool-direct", "pool-l5", "pool-l20"),
+        )
+        return run_experiment(config, seed=0)
+
+    def test_splitter_detour_is_a_small_constant(self, ablations):
+        via = ablations.cell("pool", 300, "exact").mean_cost
+        direct = ablations.cell("pool-direct", 300, "exact").mean_cost
+        assert via < 1.5 * direct
+
+    def test_finer_grid_costs_more(self, ablations):
+        # Finer grids visit more cells per query.
+        l20 = ablations.cell("pool-l20", 300, "exact").mean_cost
+        l5 = ablations.cell("pool-l5", 300, "exact").mean_cost
+        assert l20 > l5
 
 
 class TestInsertionClaim:

@@ -135,6 +135,8 @@ class TestTradeoffShape:
         # cross-network unicast.
         assert costs["external"][1] == 0
         assert costs["external"][0] > 0
+        # Query side: external < Pool < flooding.
+        assert costs["external"][1] < costs["pool"][1] < costs["flooding"][1]
         # DCS sits between the extremes on the query side.
         total = {name: sum(pair) for name, pair in costs.items()}
         assert total["pool"] < total["flooding"]

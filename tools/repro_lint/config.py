@@ -75,13 +75,9 @@ class Config:
     #: ``src/`` trees; test code computes paths without charging them all
     #: the time, so it stays out of scope.
     rep101_paths: tuple[str, ...] = ("src/",)
-    #: REP101 — the accounting layer itself plus the event-driven Pool
-    #: protocol, which legitimately charge hop-by-hop and inspect raw
-    #: paths for telemetry.
-    rep101_allow: tuple[str, ...] = (
-        "src/repro/network/",
-        "src/repro/core/protocol.py",
-    )
+    #: REP101 — the accounting layer itself, which legitimately charges
+    #: hop-by-hop and inspects raw paths for telemetry.
+    rep101_allow: tuple[str, ...] = ("src/repro/network/",)
     #: REP102 — where derive() stream-key collisions are reported (test
     #: code deliberately re-derives production streams to pin them).
     rep102_paths: tuple[str, ...] = ("src/",)

@@ -130,18 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help=(
-            "spatially partition each cell's routing across K "
-            "in-process tiles (each GPSR decision runs on the tile owning "
-            "the current node); rows, ledgers and telemetry are "
-            "byte-identical to --shards 1 for the same seed"
-        ),
-    )
-    parser.add_argument(
         "--loss-rate",
         type=float,
         default=0.0,
@@ -524,8 +512,6 @@ def main(argv: list[str] | None = None) -> int:
                 retry_limit=args.retry_limit,
                 fault_plan=fault_plan,
             )
-        if args.shards != 1:
-            config = replace(config, shards=args.shards)
         if args.flight_recorder:
             config = replace(config, flight_recorder=True)
         started = perf_counter()

@@ -319,11 +319,6 @@ def _run_cell(
         target_degree=config.target_degree,
         seed=derive(seed, "topology", size, trial),
     )
-    if config.shards > 1:
-        # Same topology object, sharded router: the deployment draw above
-        # is untouched, so every downstream artifact (sink, events,
-        # queries, paths) is byte-identical to the shards=1 run.
-        deployment = deployment.shard(config.shards)
     build_seconds = perf_counter() - build_started
     return _run_cell_systems(
         config,

@@ -66,10 +66,6 @@ class ExperimentConfig:
     loss_rate: float = 0.0
     retry_limit: int = 3
     fault_plan: FaultPlan | None = None
-    # Shard-aware engine: spatially partition each cell's deployment into
-    # this many tiles (1 = the monolithic router).  Results are
-    # byte-identical for any value.
-    shards: int = 1
     # Flight recorder: capture a bounded per-hop event ring per system
     # (``obs.recorder.DEFAULT_CAPACITY`` events, exported into telemetry
     # records).  Off by default so captures stay byte-identical to runs
@@ -96,10 +92,6 @@ class ExperimentConfig:
         if self.retry_limit < 0:
             raise ConfigurationError(
                 f"{self.name}: retry_limit must be >= 0, got {self.retry_limit}"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"{self.name}: shards must be >= 1, got {self.shards}"
             )
 
     def scaled(self, factor: float) -> "ExperimentConfig":

@@ -101,33 +101,6 @@ class Deployment:
         return self.topology.excluded
 
     # ------------------------------------------------------------------ #
-    # Sharding                                                           #
-    # ------------------------------------------------------------------ #
-
-    def shard(self, shards: int) -> "Deployment":
-        """This deployment with routing partitioned across ``shards`` tiles.
-
-        The derived deployment shares the *same* topology object; its
-        router is a :class:`~repro.shard.router.ShardRouter`, which runs
-        each GPSR forwarding decision on the tile owning the current
-        node.  Routes, ledgers and telemetry stay byte-identical to this
-        deployment's, and :meth:`fail_nodes` works unchanged.  Imported
-        lazily so the monolithic stack never pays for the shard package.
-        """
-        from repro.shard.plan import ShardPlan
-        from repro.shard.router import ShardRouter
-
-        plan = ShardPlan.grid(
-            self.topology.field, shards, halo=self.topology.radio_range
-        )
-        router = ShardRouter(
-            self.topology, plan, planarization=self.planarization
-        )
-        return Deployment(
-            self.topology, planarization=self.planarization, router=router
-        )
-
-    # ------------------------------------------------------------------ #
     # Introspection                                                      #
     # ------------------------------------------------------------------ #
 

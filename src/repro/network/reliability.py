@@ -68,9 +68,8 @@ class LossModel:
     ``derive(seed, "link", sender, receiver)`` and consumed one draw per
     attempt on that link.  The stream identity therefore depends only on
     the link's endpoints and its own attempt count — never on global draw
-    order, on which process performs the send, or (in a sharded run) on
-    which tile owns the sender — which is what keeps lossy runs
-    byte-identical across ``--jobs N`` *and* ``--shards K``.
+    order or on which process performs the send — which is what keeps
+    lossy runs byte-identical across ``--jobs N``.
 
     Parameters
     ----------

@@ -73,28 +73,19 @@ class Simulator:
         hop_latency: float = 0.01,
         stats: MessageStats | None = None,
         reliability: ReliabilityLayer | None = None,
-        router: GPSRRouter | None = None,
     ) -> None:
         if hop_latency <= 0:
             raise ConfigurationError(f"hop_latency must be positive: {hop_latency}")
         self.topology = topology
         self.hop_latency = hop_latency
         self.stats = stats if stats is not None else MessageStats()
-        # The router indirection: callers may inject a shared router (the
-        # deployment's warmed cache, or a ShardRouter computing paths on
-        # shard tiles) instead of this private per-simulator one.
-        if router is not None and router.topology is not topology:
-            raise ConfigurationError(
-                "injected router must route over the simulator's topology"
-            )
-        self.router = router if router is not None else GPSRRouter(topology)
+        self.router = GPSRRouter(topology)
         self.now = 0.0
         self.nodes = [
             SimNode(node_id, topology.position(node_id)) for node_id in topology
         ]
         self._queue: list[_ScheduledEvent] = []
         self._seq = itertools.count()
-        self._events_processed = 0
         self.reliability = reliability
         if reliability is not None:
             reliability.bind(topology)
@@ -144,22 +135,11 @@ class Simulator:
             processed += 1
         if until is not None and self.now < until:
             self.now = until
-        self._events_processed += processed
         return processed
 
     # ------------------------------------------------------------------ #
     # Radio                                                              #
     # ------------------------------------------------------------------ #
-
-    def broadcast(self, src: int, message: Message) -> None:
-        """One-hop broadcast: every radio neighbor receives the message.
-
-        Costs a single transmission (shared medium).
-        """
-        self.stats.record(message.category, sender=src)
-        for neighbor in self.topology.neighbors(src):
-            node = self.nodes[neighbor]
-            self.schedule(self.hop_latency, lambda n=node, m=message: n.deliver(m))
 
     def send(
         self,

@@ -20,7 +20,7 @@ into an answer:
   (``python -m repro.obs.route capture.jsonl <packet-id>``).
 
 Everything here is an *analysis* layer: work-unit outputs are pure
-functions of a capture (byte-stable across ``--jobs`` and ``--shards``),
+functions of a capture (byte-stable across ``--jobs``),
 and wall-clock fields are segregated — they only appear when the capture
 was taken with timings enabled, never in the deterministic default form.
 

@@ -10,7 +10,7 @@ Both documents lay spans on a **synthetic deterministic timeline**: one
 tick per work unit (one-hop message transmission), spans of a record
 placed sequentially and children nested inside their parent.  The
 resulting files are pure functions of the capture's deterministic fields
-— byte-stable across ``--jobs``/``--shards`` — and open directly in
+— byte-stable across ``--jobs`` — and open directly in
 ``chrome://tracing`` / Perfetto and https://www.speedscope.app.  When
 the capture carries wall-clock spans the work-unit geometry is
 unchanged; measured seconds ride along as event ``args`` so the two

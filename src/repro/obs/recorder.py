@@ -10,9 +10,7 @@ packet's events as a human-readable route trace.
 
 Determinism: events are recorded in the *main* simulation process at the
 facade layer — program order there is identical regardless of ``--jobs``
-(cells are independent) and ``--shards`` (the shard router only changes
-*which tile* makes each forwarding decision, not the order the facade
-sends packets) — and :meth:`as_dict` additionally sorts events by
+(cells are independent) — and :meth:`as_dict` additionally sorts events by
 ``(pid, seq)``, so the exported ring is byte-identical across any worker
 configuration.
 

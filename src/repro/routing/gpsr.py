@@ -44,6 +44,12 @@ __all__ = ["GPSRRouter", "PacketState", "RouteResult", "StepOutcome"]
 _GREEDY: Literal["greedy"] = "greedy"
 _PERIMETER: Literal["perimeter"] = "perimeter"
 
+#: Destinations whose greedy memo a router keeps; past this the oldest
+#: destination's memo is dropped.  Pool's index nodes (a few dozen per
+#: field) always fit, while a DIM field, whose zone owners each receive
+#: only a few packets, stays bounded in memory.
+MEMO_DESTINATIONS = 256
+
 #: Outcome of one :meth:`GPSRRouter.forward_one` step.  ``"hop"`` forwards
 #: the packet to the returned neighbor, ``"stay"`` re-enters greedy mode
 #: without transmitting (it still consumes one TTL slot, mirroring the
@@ -92,11 +98,12 @@ class RouteResult:
 class PacketState:
     """The GPSR packet-header fields that drive forwarding decisions.
 
-    This *is* the wire header of a GPSR packet (mode, destination, ``Lp``,
-    ``Lf``, traversed-edge memory, perimeter hop count): together with
-    the current and previous node it is everything a forwarding decision
-    reads, so any router whose view holds the current node's neighbors
-    can make the next decision.
+    Apart from ``greedy_memo`` this *is* the wire header of a GPSR packet
+    (mode, destination, ``Lp``, ``Lf``, traversed-edge memory, perimeter
+    hop count): together with the current and previous node it is
+    everything a forwarding decision reads.  ``greedy_memo`` is the
+    router's memo of greedy next hops toward this destination, looked up
+    once per packet by :meth:`GPSRRouter.start_packet`.
     """
 
     dest: Point
@@ -108,6 +115,8 @@ class PacketState:
     #: Mode of each hop taken so far (appended by ``forward_one`` on a
     #: "hop" outcome).
     modes: list[str] = field(default_factory=list)
+    #: Greedy next hop (``None`` = dead end) per node, toward ``dest``.
+    greedy_memo: dict[int, int | None] = field(default_factory=dict)
 
 
 class GPSRRouter:
@@ -145,6 +154,10 @@ class GPSRRouter:
         # Per-hop forwarding modes of each cached path, filled alongside
         # it; consulted by the flight recorder via hop_modes().
         self._mode_cache: dict[tuple[int, int], tuple[str, ...]] = {}
+        # Greedy next hop per (destination node, current node): a greedy
+        # decision reads only the current node's neighbor table and the
+        # destination, so the memo returns exactly what the scan would.
+        self._greedy_memo: dict[int, dict[int, int | None]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API                                                         #
@@ -176,11 +189,17 @@ class GPSRRouter:
           rather than re-planarizing the whole field, when the planar
           adjacency had already been built.
 
+        The greedy memo starts empty: neighbor tables change, so a
+        memoized next hop may be dead or no longer the closest neighbor.
         The receiver is left untouched, so deployments sharing it are
         unaffected (copy-on-write failure semantics).
         """
         failed_set = frozenset(int(n) for n in failed)
-        clone = self._derive(self.topology.without(failed_set))
+        clone = GPSRRouter(
+            self.topology.without(failed_set),
+            planarization=self.planarization_kind,
+            ttl_factor=self.ttl_factor,
+        )
         clone._path_cache = {
             key: path
             for key, path in self._path_cache.items()
@@ -196,14 +215,6 @@ class GPSRRouter:
                 self._planar, clone.topology, failed_set, self.planarization_kind
             )
         return clone
-
-    def _derive(self, topology: Topology) -> "GPSRRouter":
-        """A fresh router like this one over ``topology`` (empty caches)."""
-        return GPSRRouter(
-            topology,
-            planarization=self.planarization_kind,
-            ttl_factor=self.ttl_factor,
-        )
 
     def path(self, src: int, dst: int) -> list[int]:
         """Node path from ``src`` to ``dst``; raises on delivery failure.
@@ -251,8 +262,17 @@ class GPSRRouter:
         return self.path(src, target)
 
     def start_packet(self, dst: int) -> PacketState:
-        """A fresh packet header addressed to node ``dst``."""
-        return PacketState(dest=Point(*self.topology.coords[dst]))
+        """A fresh packet header addressed to node ``dst``.
+
+        Carries this router's greedy memo for ``dst``, so the per-hop
+        memo lookup is keyed by the current node alone.
+        """
+        memo = self._greedy_memo.get(dst)
+        if memo is None:
+            if len(self._greedy_memo) >= MEMO_DESTINATIONS:
+                del self._greedy_memo[next(iter(self._greedy_memo))]
+            memo = self._greedy_memo[dst] = {}
+        return PacketState(dest=Point(*self.topology.coords[dst]), greedy_memo=memo)
 
     def forward_one(
         self, current: int, previous: int | None, state: PacketState
@@ -262,11 +282,15 @@ class GPSRRouter:
         Uses only ``current``'s neighbor table and the packet header, so
         any router whose view holds ``current``'s neighbors (and their
         planarization witnesses) decides the same.  :meth:`route` calls
-        it once per TTL slot, ``"stay"`` included; the shard router
-        overrides it to hand the call to the tile owning ``current``.
+        it once per TTL slot, ``"stay"`` included.  Greedy decisions go
+        through the packet's memo; perimeter decisions read the whole
+        header and are never memoized.
         """
         if state.mode == _GREEDY:
-            nxt = self._greedy_next(current, state.dest)
+            memo = state.greedy_memo
+            nxt = memo.get(current, -1)
+            if nxt == -1:
+                nxt = memo[current] = self._greedy_next(current, state.dest)
             if nxt is None:
                 self._enter_perimeter(state, current)
                 nxt = self._perimeter_first_edge(current, state)

@@ -4,7 +4,7 @@ The fixtures under ``tests/exec/fixtures/`` pin the ``ResultRow`` JSON of
 a small five-system experiment as produced by the *pre-refactor*
 monolithic ``query()`` implementations.  The staged plan/execute/fold
 pipeline must reproduce them byte-for-byte — lossless and lossy, serial
-and parallel, monolithic and sharded.
+and parallel.
 
 Regenerate (only when the accounting model itself legitimately changes)
 with::
@@ -26,7 +26,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SEED = 20260807
 
 
-def golden_config(*, loss_rate: float = 0.0, shards: int = 1) -> ExperimentConfig:
+def golden_config(*, loss_rate: float = 0.0) -> ExperimentConfig:
     """The pinned five-system experiment: small but exercises every path."""
     return ExperimentConfig(
         name="golden",
@@ -44,16 +44,15 @@ def golden_config(*, loss_rate: float = 0.0, shards: int = 1) -> ExperimentConfi
         trials=2,
         systems=("pool", "dim", "difs", "flooding", "external"),
         loss_rate=loss_rate,
-        shards=shards,
     )
 
 
 def golden_rows(
-    *, loss_rate: float = 0.0, jobs: int = 1, shards: int = 1
+    *, loss_rate: float = 0.0, jobs: int = 1
 ) -> list[dict[str, object]]:
     """Seed-deterministic row dicts (timings stripped) for one variant."""
     result = run_experiment(
-        golden_config(loss_rate=loss_rate, shards=shards),
+        golden_config(loss_rate=loss_rate),
         seed=GOLDEN_SEED,
         jobs=jobs,
     )

@@ -5,8 +5,7 @@ Each scenario is one ``pool-bench`` command line, run in-process through
 
 * ``rerun``  — the same command twice;
 * ``jobs``   — ``--jobs 1`` vs ``--jobs 2`` over at least two (size, trial)
-  cells, so the parallel merge really combines worker results;
-* ``shards`` — ``--shards 1`` vs ``--shards 4``.
+  cells, so the parallel merge really combines worker results.
 
 Every artifact compares byte for byte: the telemetry JSONL, the serve SLO
 report and the chaos fault plan as written, and the results JSON with each
@@ -14,8 +13,8 @@ row's wall-clock ``timings`` dropped.  Each (scenario, variant) runs once
 per module; the per-scenario checks at the bottom read the same captures.
 
 To add a scenario, add a :class:`Scenario` to ``SCENARIOS`` with its
-command line and the axes it supports (``serve`` takes neither ``--jobs``
-nor ``--shards``), then put any scenario-specific assertions in a test
+command line and the axes it supports (``serve`` does not take
+``--jobs``), then put any scenario-specific assertions in a test
 that reads ``capture(name)``.
 """
 
@@ -36,15 +35,14 @@ from repro.obs.flame import main as flame_main
 from repro.serve.chaos import _main as chaos_main
 from repro.telemetry.export import read_telemetry_jsonl
 
-ALL_AXES = ("rerun", "jobs", "shards")
+ALL_AXES = ("rerun", "jobs")
 
 #: Extra flags per run variant; ``base`` is the reference every axis
-#: compares against (``--jobs 1``, ``--shards 1``).
+#: compares against (``--jobs 1``).
 VARIANTS: dict[str, tuple[str, ...]] = {
     "base": (),
     "rerun": (),
     "jobs": ("--jobs", "2"),
-    "shards": ("--shards", "4"),
 }
 
 
@@ -172,11 +170,6 @@ def test_rerun_is_byte_identical(capture, name):
 @pytest.mark.parametrize("name", _having("jobs"))
 def test_jobs_2_equals_jobs_1(capture, name):
     _assert_identical(capture(name), capture(name, "jobs"))
-
-
-@pytest.mark.parametrize("name", _having("shards"))
-def test_shards_4_equals_shards_1(capture, name):
-    _assert_identical(capture(name), capture(name, "shards"))
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,6 @@ SLOW_EXAMPLES = [
     "environmental_monitoring.py",
     "advanced_queries.py",
     "failure_recovery.py",
-    "sharded_scaleout.py",
 ]
 
 

@@ -1,8 +1,8 @@
 """Flight recorder through the harness and CLI: shape and zero cost.
 
 With the recorder off, captures are byte-identical to a build that
-predates it.  That the ring itself is byte-identical across reruns,
-``--jobs`` and ``--shards`` is checked by the ``fig7a-flight`` row of
+predates it.  That the ring itself is byte-identical across reruns and
+``--jobs`` is checked by the ``fig7a-flight`` row of
 ``tests/integration/test_determinism.py``.
 """
 

@@ -151,11 +151,11 @@ class TestRealTree:
         assert "repro.exec.stages.StagedQuerySystem.plan_query" in plan_impls
         assert len(plan_impls) == 6
 
-    def test_shard_entrypoints_resolve(self, graph) -> None:
-        # The shard router hands each decision to a tile router, so its
-        # forward_one reaches the GPSR forwarding rules.
-        entry = "repro.shard.router.ShardRouter.forward_one"
+    def test_gpsr_route_reaches_forwarding_rules(self, graph) -> None:
+        # The GPSR loop hands each TTL slot to forward_one, whose greedy
+        # branch falls through to the neighbor scan on a memo miss.
+        entry = "repro.routing.gpsr.GPSRRouter.route"
         assert entry in graph.functions
         reached = graph.reachable_from([entry], weak=True)
         assert "repro.routing.gpsr.GPSRRouter.forward_one" in reached
-        assert len(reached) > 10
+        assert "repro.routing.gpsr.GPSRRouter._greedy_next" in reached

@@ -56,7 +56,6 @@ class Config:
         "src/repro/network/",
         "src/repro/obs/",
         "src/repro/serve/",
-        "src/repro/shard/",
         "src/repro/telemetry/",
     )
     #: REP004 — geometric predicate modules where float ``==`` is a hazard.

@@ -11,7 +11,7 @@ network size, which is the root of Pool's scalability advantage
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.core.grid import Cell, Grid
@@ -33,11 +33,17 @@ class PoolLayout:
         The lower-left cell ``PC_i``.
     side_length:
         The paper's ``l`` — cells per side.
+    cells_by_offset:
+        All ``l²`` global cells, built once: the cell at ``(HO, VO)``
+        is entry ``HO · l + VO``.
     """
 
     index: int
     pivot: Cell
     side_length: int
+    cells_by_offset: tuple[Cell, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.side_length < 1:
@@ -46,6 +52,13 @@ class PoolLayout:
             )
         if self.index < 0:
             raise ConfigurationError(f"pool index must be >= 0, got {self.index}")
+        x, y = self.pivot
+        sides = range(self.side_length)
+        object.__setattr__(
+            self,
+            "cells_by_offset",
+            tuple(Cell(x + ho, y + vo) for ho in sides for vo in sides),
+        )
 
     # ------------------------------------------------------------------ #
     # Cell addressing                                                    #
@@ -57,7 +70,7 @@ class PoolLayout:
             raise ConfigurationError(
                 f"offsets ({ho},{vo}) outside pool of side {self.side_length}"
             )
-        return Cell(self.pivot.x + ho, self.pivot.y + vo)
+        return self.cells_by_offset[ho * self.side_length + vo]
 
     def offsets_of(self, cell: Cell) -> tuple[int, int] | None:
         """``(HO, VO)`` of a global cell, or ``None`` if outside the Pool.
@@ -76,9 +89,7 @@ class PoolLayout:
 
     def cells(self) -> Iterator[Cell]:
         """All ``l²`` cells, column-major from the pivot."""
-        for ho in range(self.side_length):
-            for vo in range(self.side_length):
-                yield self.cell_at(ho, vo)
+        return iter(self.cells_by_offset)
 
     @property
     def cell_count(self) -> int:
@@ -87,15 +98,22 @@ class PoolLayout:
 
     def overlaps(self, other: "PoolLayout") -> bool:
         """Whether two Pool footprints share any cell."""
-        return not (
-            self.pivot.x + self.side_length <= other.pivot.x
-            or other.pivot.x + other.side_length <= self.pivot.x
-            or self.pivot.y + self.side_length <= other.pivot.y
-            or other.pivot.y + other.side_length <= self.pivot.y
+        return _blocks_overlap(
+            self.pivot, self.side_length, other.pivot, other.side_length
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"P{self.index + 1}(pivot={self.pivot!r}, l={self.side_length})"
+
+
+def _blocks_overlap(a: Cell, a_side: int, b: Cell, b_side: int) -> bool:
+    """Whether the cell blocks anchored at ``a`` and ``b`` share a cell."""
+    return not (
+        a.x + a_side <= b.x
+        or b.x + b_side <= a.x
+        or a.y + a_side <= b.y
+        or b.y + b_side <= a.y
+    )
 
 
 def choose_pivots(
@@ -140,19 +158,18 @@ def choose_pivots(
         )
 
     chosen: list[Cell] = []
-    layouts: list[PoolLayout] = []
-    for index in range(pools):
+    for _ in range(pools):
         pivot = draw()
         if avoid_overlap:
-            candidate = PoolLayout(index, pivot, side_length)
             attempts = 0
             while (
-                any(candidate.overlaps(existing) for existing in layouts)
+                any(
+                    _blocks_overlap(pivot, side_length, existing, side_length)
+                    for existing in chosen
+                )
                 and attempts < max_attempts
             ):
                 pivot = draw()
-                candidate = PoolLayout(index, pivot, side_length)
                 attempts += 1
-            layouts.append(candidate)
         chosen.append(pivot)
     return chosen

@@ -22,19 +22,31 @@ for rows.  The inverse maps (:func:`ho_for_value`, :func:`vo_for_value`)
 clamp accordingly, and the intersection predicates used by the resolver
 close the upper bound on the top cells so no boundary event can escape a
 query (tested property: resolve covers every placement).
+
+Every bound is computed once per side length, in :func:`equation1_table`;
+the per-cell accessors and the resolver read that table.  Within a column
+(and across columns) the bounds rise monotonically, so the cells meeting a
+closed query range form one contiguous window (:func:`meeting_window`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
+
 from repro.exceptions import ConfigurationError, ValidationError
 
 __all__ = [
+    "Equation1Table",
+    "equation1_table",
+    "meeting_window",
     "horizontal_range",
     "vertical_range",
     "cell_value_ranges",
     "ho_for_value",
     "vo_for_value",
-    "ranges_intersect",
 ]
 
 
@@ -50,32 +62,69 @@ def _check_offset(offset: int, side_length: int, name: str) -> None:
         )
 
 
-def _row_ranges(ho: int, side_length: int) -> list[tuple[float, float]]:
-    """Equation 1 ``Range_V`` of every row of column ``ho``, by ``VO``.
+@dataclass(frozen=True, slots=True)
+class Equation1Table:
+    """Equation 1 bounds of every cell of a side-``l`` Pool.
 
-    The caller validates; the resolver calls this once per column
-    instead of validating every cell.
+    ``column_lows[ho]``/``column_highs[ho]`` bound ``Range_H`` of column
+    ``ho``; ``row_lows[ho][vo]``/``row_highs[ho][vo]`` bound ``Range_V``
+    of the cell ``(ho, vo)``.  Each sequence is non-decreasing.
     """
+
+    column_lows: tuple[float, ...]
+    column_highs: tuple[float, ...]
+    row_lows: tuple[tuple[float, ...], ...]
+    row_highs: tuple[tuple[float, ...], ...]
+
+
+@lru_cache(maxsize=64)
+def equation1_table(side_length: int) -> Equation1Table:
+    """The Equation 1 bounds of a side-``l`` Pool, built once per ``l``."""
+    _check_side(side_length)
+    sides = range(side_length)
     l_sq = side_length * side_length
-    return [
-        (vo * (ho + 1) / l_sq, (vo + 1) * (ho + 1) / l_sq)
-        for vo in range(side_length)
-    ]
+    return Equation1Table(
+        column_lows=tuple(ho / side_length for ho in sides),
+        column_highs=tuple((ho + 1) / side_length for ho in sides),
+        row_lows=tuple(
+            tuple(vo * (ho + 1) / l_sq for vo in sides) for ho in sides
+        ),
+        row_highs=tuple(
+            tuple((vo + 1) * (ho + 1) / l_sq for vo in sides) for ho in sides
+        ),
+    )
+
+
+def meeting_window(
+    lows: Sequence[float], highs: Sequence[float], lo: float, hi: float
+) -> range:
+    """Indices of the cells ``[lows[i], highs[i])`` meeting ``[lo, hi]``.
+
+    A half-open cell ``[a, b)`` meets the closed query range ``[lo, hi]``
+    (from Theorem 3.2) iff ``a <= hi`` and ``lo < b``.  The last cell's
+    range is closed, ``[a, b]``, so it needs only ``lo <= b``.  With both
+    bound sequences non-decreasing, ``a <= hi`` holds on a prefix and
+    ``lo < b`` on a suffix, so two bisections find the window.
+    """
+    start = bisect_right(highs, lo)
+    if start == len(highs) and highs[-1] == lo:
+        start -= 1
+    return range(start, bisect_right(lows, hi))
 
 
 def horizontal_range(ho: int, side_length: int) -> tuple[float, float]:
     """``Range_H`` of any cell in column offset ``ho`` (Equation 1)."""
-    _check_side(side_length)
+    table = equation1_table(side_length)
     _check_offset(ho, side_length, "HO")
-    return (ho / side_length, (ho + 1) / side_length)
+    return (table.column_lows[ho], table.column_highs[ho])
 
 
 def vertical_range(ho: int, vo: int, side_length: int) -> tuple[float, float]:
     """``Range_V`` of the cell at offsets ``(ho, vo)`` (Equation 1)."""
-    _check_side(side_length)
+    table = equation1_table(side_length)
     _check_offset(ho, side_length, "HO")
     _check_offset(vo, side_length, "VO")
-    return _row_ranges(ho, side_length)[vo]
+    return (table.row_lows[ho][vo], table.row_highs[ho][vo])
 
 
 def cell_value_ranges(
@@ -114,25 +163,3 @@ def vo_for_value(v_d2: float, ho: int, side_length: int) -> int:
         int(v_d2 * side_length * side_length / (ho + 1)),
         side_length - 1,
     )
-
-
-def ranges_intersect(
-    cell_range: tuple[float, float],
-    query_range: tuple[float, float],
-    *,
-    closed_top: bool,
-) -> bool:
-    """Whether a half-open cell range meets a closed query range.
-
-    ``cell_range`` is ``[a, b)`` — or ``[a, b]`` when ``closed_top`` marks
-    a topmost cell — and ``query_range`` is the closed ``[L, U]`` from
-    Theorem 3.2.  Intersection requires ``a <= U`` and ``L < b`` (``<=``
-    when closed).
-    """
-    a, b = cell_range
-    lo, hi = query_range
-    if a > hi:
-        return False
-    if closed_top:
-        return lo <= b
-    return lo < b

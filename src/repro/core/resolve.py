@@ -22,15 +22,12 @@ queries after the ``[0, 1]`` rewrite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.core.grid import Cell
 from repro.core.pool import PoolLayout
-from repro.core.ranges import (
-    _row_ranges,
-    horizontal_range,
-    ranges_intersect,
-)
+from repro.core.ranges import equation1_table, meeting_window
 from repro.events.queries import RangeQuery
 from repro.exceptions import ValidationError
 
@@ -40,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PoolQueryRanges",
     "query_ranges_for_pool",
+    "resolve_pool",
     "relevant_offsets",
     "relevant_cells",
 ]
@@ -86,6 +84,58 @@ def query_ranges_for_pool(query: RangeQuery, pool: int) -> PoolQueryRanges:
     return PoolQueryRanges(pool=pool, horizontal=r_h, vertical=r_v)
 
 
+def resolve_pool(
+    query: RangeQuery,
+    pool: int,
+    side_length: int,
+    *,
+    recorder: "SpanRecorder | None" = None,
+) -> tuple[PoolQueryRanges, list[tuple[int, int]]]:
+    """Algorithm 2 for one Pool: its derived ranges and relevant offsets.
+
+    A cell is relevant iff its Equation 1 horizontal range intersects
+    ``R_H^i(Q)`` *and* its vertical range intersects ``R_V^i(Q)``.  Cells
+    on the top boundary of an axis use closed-top intersection so events
+    with attribute value 1.0 cannot slip through (see
+    :mod:`repro.core.ranges`).
+
+    The relevant columns form one window of the Pool's columns, and each
+    relevant column's relevant rows one window of its rows; both are
+    found by bisecting the cached Equation 1 table, so the cost is one
+    step per relevant cell rather than one per cell of the Pool.  The
+    offsets come out column by column, rows ascending.
+
+    ``recorder`` (telemetry) logs one zero-message ``resolve`` span per
+    call — the sink-local pruning step of the query lifecycle; it never
+    causes traffic, which the span's ``messages=0`` makes auditable.
+    """
+    derived = query_ranges_for_pool(query, pool)
+    offsets: list[tuple[int, int]] = []
+    if not derived.is_empty:
+        table = equation1_table(side_length)
+        v_lo, v_hi = derived.vertical
+        row_lows = table.row_lows
+        row_highs = table.row_highs
+        for ho in meeting_window(
+            table.column_lows, table.column_highs, *derived.horizontal
+        ):
+            offsets.extend(
+                zip(
+                    repeat(ho),
+                    meeting_window(row_lows[ho], row_highs[ho], v_lo, v_hi),
+                )
+            )
+    if recorder is not None:
+        recorder.record(
+            "resolve",
+            phase="resolve",
+            pool=pool,
+            cells=len(offsets),
+            pruned=not offsets,
+        )
+    return derived, offsets
+
+
 def relevant_offsets(
     query: RangeQuery,
     pool: int,
@@ -95,50 +145,9 @@ def relevant_offsets(
 ) -> list[tuple[int, int]]:
     """Algorithm 2: the ``(HO, VO)`` offsets of relevant cells in a Pool.
 
-    A cell is relevant iff its Equation 1 horizontal range intersects
-    ``R_H^i(Q)`` *and* its vertical range intersects ``R_V^i(Q)``.  Cells
-    on the top boundary of an axis use closed-top intersection so events
-    with attribute value 1.0 cannot slip through (see
-    :mod:`repro.core.ranges`).
-
-    The scan is narrowed to the columns overlapping ``R_H`` before the
-    per-cell vertical check, so the common case touches far fewer than
-    ``l²`` cells.
-
-    ``recorder`` (telemetry) logs one zero-message ``resolve`` span per
-    call — the sink-local pruning step of the query lifecycle; it never
-    causes traffic, which the span's ``messages=0`` makes auditable.
+    The offsets half of :func:`resolve_pool`, which documents the rule.
     """
-    derived = query_ranges_for_pool(query, pool)
-    if derived.is_empty:
-        if recorder is not None:
-            recorder.record("resolve", phase="resolve", pool=pool, cells=0, pruned=True)
-        return []
-    offsets: list[tuple[int, int]] = []
-    # Column window from the horizontal range (cheap pre-prune).
-    first_col = max(0, int(derived.horizontal[0] * side_length) - 1)
-    last_col = min(side_length - 1, int(derived.horizontal[1] * side_length) + 1)
-    for ho in range(first_col, last_col + 1):
-        h_range = horizontal_range(ho, side_length)
-        if not ranges_intersect(
-            h_range, derived.horizontal, closed_top=(ho == side_length - 1)
-        ):
-            continue
-        # ``ho`` is validated above, so the rows need no per-cell check.
-        for vo, v_range in enumerate(_row_ranges(ho, side_length)):
-            if ranges_intersect(
-                v_range, derived.vertical, closed_top=(vo == side_length - 1)
-            ):
-                offsets.append((ho, vo))
-    if recorder is not None:
-        recorder.record(
-            "resolve",
-            phase="resolve",
-            pool=pool,
-            cells=len(offsets),
-            pruned=not offsets,
-        )
-    return offsets
+    return resolve_pool(query, pool, side_length, recorder=recorder)[1]
 
 
 def relevant_cells(query: RangeQuery, layout: PoolLayout) -> list[Cell]:

@@ -22,7 +22,7 @@ from repro.core.grid import Cell, Grid
 from repro.core.insertion import Placement, candidate_placements
 from repro.core.pool import PoolLayout, choose_pivots
 from repro.core.ranges import vertical_range
-from repro.core.resolve import query_ranges_for_pool, relevant_offsets
+from repro.core.resolve import query_ranges_for_pool, resolve_pool
 from repro.aggregates import AggregateKind, AggregateState
 from repro.core.replication import FailureReport, ReplicationPolicy
 from repro.core.sharing import CellStore, SharingPolicy
@@ -610,31 +610,35 @@ class PoolSystem:
         """
         check_query_dimensions(self.dimensions, query)
         tel = self.network.telemetry
+        side = self.side_length
+        stores = self._stores
         legs: list[PoolLegPlan] = []
         for pool in self.pools:
-            offsets = relevant_offsets(
-                query, pool.index, self.side_length, recorder=tel
+            derived, offsets = resolve_pool(
+                query, pool.index, side, recorder=tel
             )
             if not offsets:
                 continue
-            derived = query_ranges_for_pool(query, pool.index)
+            v_lo, v_hi = derived.vertical
+            pool_cells = pool.cells_by_offset
             cells: list[Cell] = []
             destinations: dict[int, None] = {}
             cell_holders: list[tuple[Cell, frozenset[int]]] = []
             for ho, vo in offsets:
-                cell = pool.cell_at(ho, vo)
+                cell = pool_cells[ho * side + vo]
                 cells.append(cell)
-                store = self._stores.get((pool.index, ho, vo))
+                store = stores.get((pool.index, ho, vo))
                 if store is None:
                     node = self.index_node(cell)
                     destinations[node] = None
-                    cell_holders.append((cell, frozenset((node,))))
-                    continue
-                holders: set[int] = set()
-                for segment in store.segments_overlapping(derived.vertical):
-                    destinations[segment.node] = None
-                    holders.add(segment.node)
-                cell_holders.append((cell, frozenset(holders)))
+                    nodes = [node]
+                else:
+                    nodes = []
+                    for segment in store.segments:
+                        if segment.overlaps(v_lo, v_hi):
+                            destinations[segment.node] = None
+                            nodes.append(segment.node)
+                cell_holders.append((cell, frozenset(nodes)))
             legs.append(
                 PoolLegPlan(
                     pool=pool.index,
@@ -834,10 +838,13 @@ class PoolSystem:
         cells, the splitter and the physical holders a real execution
         would visit.  Useful for debugging workloads and for teaching the
         scheme; the plan text is stable for a fixed topology and seed.
+        Cells and holders come from :meth:`plan_query`'s legs, so the
+        text shows exactly what a query would plan; with telemetry
+        attached, that planning records its zero-message ``resolve`` span
+        per Pool, as a query's would.
         """
-        if query.dimensions != self.dimensions:
-            raise DimensionMismatchError(self.dimensions, query.dimensions, "query")
-        checkpoint = self.network.stats.checkpoint()
+        before = self.network.stats.total
+        legs = {leg.pool: leg for leg in self.plan_query(sink, query).detail}
         lines = [f"plan for {query} at sink {sink}:"]
         for pool in self.pools:
             derived = query_ranges_for_pool(query, pool.index)
@@ -846,26 +853,26 @@ class PoolSystem:
                 f"R_H=[{derived.horizontal[0]:.3g}, {derived.horizontal[1]:.3g}] "
                 f"R_V=[{derived.vertical[0]:.3g}, {derived.vertical[1]:.3g}]"
             )
-            offsets = relevant_offsets(query, pool.index, self.side_length)
-            if not offsets:
+            leg = legs.get(pool.index)
+            if leg is None:
                 lines.append(header + " -> pruned")
                 continue
             lines.append(header)
             splitter = self.splitter(sink, pool.index)
             lines.append(f"    splitter: node {splitter}")
-            for ho, vo in offsets:
-                cell = pool.cell_at(ho, vo)
+            for (ho, vo), cell in zip(leg.offsets, leg.cells):
                 store = self._stores.get((pool.index, ho, vo))
                 if store is None:
                     holders = f"node {self.index_node(cell)} (empty)"
                 else:
-                    parts: list[str] = []
-                    for segment in store.segments_overlapping(derived.vertical):
-                        parts.append(f"node {segment.node} x{len(segment)}")
+                    parts = [
+                        f"node {segment.node} x{len(segment)}"
+                        for segment in store.segments_overlapping(leg.vertical)
+                    ]
                     holders = ", ".join(parts) if parts else "no overlapping segment"
                 lines.append(f"    {cell!r} (HO={ho}, VO={vo}): {holders}")
         # Planning must never have caused traffic.
-        assert all(v == 0 for v in self.network.stats.delta(checkpoint).values())
+        assert self.network.stats.total == before
         return "\n".join(lines)
 
     def aggregate(

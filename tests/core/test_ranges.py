@@ -10,7 +10,7 @@ from repro.core.ranges import (
     cell_value_ranges,
     ho_for_value,
     horizontal_range,
-    ranges_intersect,
+    meeting_window,
     vertical_range,
     vo_for_value,
 )
@@ -131,17 +131,19 @@ class TestInverseMaps:
 
 
 class TestRangesIntersect:
+    """The cell/query intersection rule, as :func:`meeting_window` applies it."""
+
     def test_open_top_excludes_boundary(self):
-        assert not ranges_intersect((0.0, 0.2), (0.2, 0.5), closed_top=False)
+        assert 0 not in meeting_window((0.0, 0.2), (0.2, 1.0), 0.2, 0.5)
 
     def test_closed_top_includes_boundary(self):
-        assert ranges_intersect((0.8, 1.0), (1.0, 1.0), closed_top=True)
+        assert meeting_window((0.0, 0.8), (0.8, 1.0), 1.0, 1.0) == range(1, 2)
 
     def test_disjoint_below(self):
-        assert not ranges_intersect((0.5, 0.6), (0.0, 0.4), closed_top=True)
+        assert 1 not in meeting_window((0.0, 0.5), (0.5, 0.6), 0.0, 0.4)
 
     def test_overlap(self):
-        assert ranges_intersect((0.2, 0.4), (0.3, 0.9), closed_top=False)
+        assert 0 in meeting_window((0.2, 0.4), (0.4, 1.0), 0.3, 0.9)
 
     def test_query_inside_cell(self):
-        assert ranges_intersect((0.0, 1.0), (0.4, 0.5), closed_top=False)
+        assert meeting_window((0.0,), (1.0,), 0.4, 0.5) == range(0, 1)

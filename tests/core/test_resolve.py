@@ -174,7 +174,7 @@ def edge_queries(draw, side):
 
 class TestResolveEquivalence:
     @settings(max_examples=300)
-    @given(st.data(), st.integers(min_value=1, max_value=12))
+    @given(st.data(), st.integers(min_value=1, max_value=32))
     def test_matches_cell_by_cell_scan(self, data, side):
         query = data.draw(edge_queries(side))
         for pool in range(query.dimensions):

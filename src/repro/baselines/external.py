@@ -14,7 +14,7 @@ from typing import Callable
 from repro.dcs import InsertReceipt, QueryResult, resolve_result
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
-from repro.events.table import EventTable
+from repro.events.table import EventTable, row_array
 from repro.exceptions import DimensionMismatchError, UnreachableError
 from repro.exec import (
     WAREHOUSE_CELL,
@@ -53,8 +53,9 @@ class ExternalStorage:
             if sink is not None
             else network.closest_node(network.topology.field.center)
         )
-        # Every event the warehouse holds; its rows are 0..n-1.
+        # Every event the warehouse holds, and their row ids 0..n-1.
         self._table = EventTable(dimensions)
+        self._rows = row_array()
         # Called after every delivered event with
         # (WAREHOUSE_CELL, event, warehouse_node): the warehouse is the
         # single cell, so every insert invalidates every cached plan.
@@ -80,7 +81,7 @@ class ExternalStorage:
                 detail="warehouse",
                 delivered=False,
             )
-        self._table.append(event)
+        self._rows.append(self._table.append(event))
         for listener in self.insert_listeners:
             listener(WAREHOUSE_CELL, event, self.sink)
         return InsertReceipt(
@@ -151,7 +152,7 @@ class ExternalStorage:
         query: RangeQuery = plan.query
         warehouse_answered = self.sink in execution.answered
         events = (
-            self._table.select(query, [range(len(self._table))])
+            self._table.select(query, [self._rows])
             if warehouse_answered
             else []
         )

@@ -14,12 +14,14 @@ regardless of selectivity.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from typing import Callable
 
 from repro.dcs import InsertReceipt, QueryResult, resolve_result
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
-from repro.events.table import EventTable
+from repro.events.table import EventTable, row_array
 from repro.exceptions import DimensionMismatchError
 from repro.exceptions import UnreachableError
 from repro.exec import (
@@ -43,7 +45,7 @@ class LocalStorageFlooding:
         self.dimensions = dimensions
         # Row ids held per detecting node, and each row's holder.
         self._table = EventTable(dimensions)
-        self._storage: dict[int, list[int]] = {}
+        self._storage: defaultdict[int, array[int]] = defaultdict(row_array)
         self._holders: list[int] = []
         # Called after every stored event with (ALL_CELLS, event, node):
         # with no index, any node may answer any query, so every insert
@@ -61,7 +63,7 @@ class LocalStorageFlooding:
         src = source if source is not None else event.source
         if src is None:
             src = 0
-        self._storage.setdefault(src, []).append(self._table.append(event))
+        self._storage[src].append(self._table.append(event))
         self._holders.append(src)
         for listener in self.insert_listeners:
             listener(ALL_CELLS, event, src)

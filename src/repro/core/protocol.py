@@ -30,6 +30,7 @@ need global knowledge.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -119,7 +120,7 @@ class _Execution:
         ).detail
         self.outstanding_pools = self.pools_visited = len(legs)
         for leg in legs:
-            holders_rows: dict[int, list[list[int]]] = {}
+            holders_rows: dict[int, list[array[int]]] = {}
             for ho, vo in leg.offsets:
                 store = self.system._stores.get((leg.pool, ho, vo))
                 if store is None:

@@ -27,8 +27,10 @@ under skewed event distributions at the price of a few sharing messages.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
+from repro.events.table import row_array
 from repro.exceptions import StorageError
 
 __all__ = ["SharingPolicy", "Segment", "CellStore"]
@@ -76,13 +78,14 @@ class Segment:
     """One holder's slice of a cell: vertical keys in ``[v_lo, v_hi)``.
 
     ``rows`` are the stored events' row ids in the system's
-    :class:`~repro.events.table.EventTable`, in arrival order.
+    :class:`~repro.events.table.EventTable`, in arrival order, kept as
+    the ``array('q')`` the fold gathers.
     """
 
     v_lo: float
     v_hi: float
     node: int
-    rows: list[int] = field(default_factory=list)
+    rows: array[int] = field(default_factory=row_array)
     #: Vertical key of each stored event, parallel to ``rows``.
     keys: list[float] = field(default_factory=list)
 
@@ -157,9 +160,9 @@ class CellStore:
         """Distinct nodes currently holding part of this cell."""
         return tuple(dict.fromkeys(segment.node for segment in self.segments))
 
-    def all_rows(self) -> list[int]:
+    def all_rows(self) -> array[int]:
         """Row ids of every event stored in the cell, segment by segment."""
-        return [row for segment in self.segments for row in segment.rows]
+        return row_array(row for segment in self.segments for row in segment.rows)
 
     def total_events(self) -> int:
         return sum(len(segment) for segment in self.segments)
@@ -184,9 +187,9 @@ class CellStore:
         if median <= segment.v_lo or median > segment.v_hi:
             # All keys below the would-be boundary: try the range midpoint.
             median = (segment.v_lo + segment.v_hi) / 2.0
-        stay_rows: list[int] = []
+        stay_rows = row_array()
         stay_keys: list[float] = []
-        move_rows: list[int] = []
+        move_rows = row_array()
         move_keys: list[float] = []
         for row, key in zip(segment.rows, segment.keys):
             if key >= median:

@@ -15,6 +15,7 @@ Implements the :class:`~repro.dcs.DataCentricStore` protocol.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -85,10 +86,6 @@ class PoolQueryDetail:
     @property
     def pools_visited(self) -> int:
         return len(self.plans)
-
-    @property
-    def cells_visited(self) -> int:
-        return sum(len(plan.cells) for plan in self.plans)
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,7 +455,7 @@ class PoolSystem:
                     self._event_count -= len(segment)
                     if len(segment):
                         report.lossy_cells.append(key)
-                    segment.rows.clear()
+                    del segment.rows[:]
                     segment.keys.clear()
                 segment.node = new_holder
             if not topology.is_alive(store.primary_node):
@@ -719,7 +716,7 @@ class PoolSystem:
         """
         query: RangeQuery = plan.query
         detail = PoolQueryDetail()
-        answered_rows: list[list[int]] = []
+        answered_rows: list[array[int]] = []
         visited: list[int] = []
         attempted_cells = 0
         answered_cells = 0

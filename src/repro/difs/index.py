@@ -26,13 +26,15 @@ the weakness (Section 1 of the Pool paper) that motivated DIM and Pool.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.dcs import InsertReceipt, QueryResult, resolve_result
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
-from repro.events.table import EventTable
+from repro.events.table import EventTable, row_array
 from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
@@ -118,7 +120,7 @@ class DifsIndex:
         self._ght = GeographicHashTable(self.network, salt="difs")
         # Row ids of the events stored under each leaf range.
         self._table = EventTable(dimensions)
-        self._storage: dict[tuple[float, float], list[int]] = {}
+        self._storage: defaultdict[tuple[float, float], array[int]] = defaultdict(row_array)
         # Called after every stored event with ((lo, hi), event, leaf_node)
         # — leaf ranges are the native cell identity DIFS plans resolve
         # to, so the serve-layer cache invalidates on exactly the leaves
@@ -241,9 +243,7 @@ class DifsIndex:
                 break
             hops += len(update) - 1
             previous = ancestor_node
-        self._storage.setdefault((leaf.lo, leaf.hi), []).append(
-            self._table.append(event)
-        )
+        self._storage[(leaf.lo, leaf.hi)].append(self._table.append(event))
         for listener in self.insert_listeners:
             listener((leaf.lo, leaf.hi), event, leaf_node)
         return InsertReceipt(
@@ -370,7 +370,7 @@ class DifsIndex:
         self, leaf_ranges: list[_IndexRange], query: RangeQuery
     ) -> tuple[list[Event], int]:
         """Retrieve and post-filter matches held under ``leaf_ranges``."""
-        stored = [self._storage.get((leaf.lo, leaf.hi), ()) for leaf in leaf_ranges]
+        stored = [rows for leaf in leaf_ranges if (rows := self._storage.get((leaf.lo, leaf.hi)))]
         return (
             self._table.select(query, stored),
             sum(map(len, stored)),

@@ -10,6 +10,8 @@ benchmark harness can drive DIM and Pool identically.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +27,7 @@ from repro.exceptions import ConfigurationError
 from repro.dim.zones import Zone, ZoneTree
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
-from repro.events.table import EventTable
+from repro.events.table import EventTable, row_array
 from repro.exceptions import DimensionMismatchError, UnreachableError
 from repro.exec import Execution, QueryPlan, run_staged
 from repro.network.messages import MessageCategory
@@ -65,7 +67,7 @@ class DimIndex:
         # node may own several zones; zone granularity keeps queries
         # precise).
         self._table = EventTable(dimensions)
-        self._storage: dict[str, list[int]] = {}
+        self._storage: defaultdict[str, array[int]] = defaultdict(row_array)
         # Called after every successfully stored event with
         # (zone_code, event, owner_node) — zone codes are the native cell
         # identity DIM plans resolve to, so the serve-layer cache
@@ -93,7 +95,7 @@ class DimIndex:
                 detail=leaf.code,
                 delivered=False,
             )
-        self._storage.setdefault(leaf.code, []).append(self._table.append(event))
+        self._storage[leaf.code].append(self._table.append(event))
         for listener in self.insert_listeners:
             listener(leaf.code, event, leaf.owner)
         return InsertReceipt(
@@ -160,7 +162,7 @@ class DimIndex:
         if plan.is_local:
             return QueryResult(
                 events=self._table.select(
-                    query, [storage.get(zone.code, ()) for zone in zones]
+                    query, [rows for zone in zones if (rows := storage.get(zone.code))]
                 ),
                 forward_cost=0,
                 reply_cost=0,
@@ -169,7 +171,7 @@ class DimIndex:
             )
         answered = execution.answered
         # A zone answers only when its owner's reply reached the sink.
-        answered_rows: list[list[int]] = []
+        answered_rows: list[array[int]] = []
         unreachable_codes: list[str] = []
         unreachable_owners: set[int] = set()
         for zone in zones:

@@ -3,19 +3,21 @@
 A storage system appends each stored :class:`~repro.events.event.Event`
 to its :class:`EventTable` and keeps the returned **row id** wherever it
 used to keep the event (a Pool segment, a DIM zone, a DIFS leaf, a
-flooding node, the external warehouse).  A query's fold then hands the
-answered stores' row ids to :meth:`EventTable.select` in one call.
+flooding node, the external warehouse), in one ``array('q')`` per store
+(:func:`row_array`).  A query's fold hands the answered stores' arrays to
+:meth:`EventTable.select` in one call, which reads their joined bytes as
+one index with ``np.frombuffer``.
 
 The table keeps the same rows in two forms:
 
 * a Python list of the ``Event`` objects, which ``append`` extends;
 * numpy arrays of capacity ``c``: the events as a ``(c,)`` object array,
   which ``select`` gathers its answer from (the stored objects, in the
-  caller's row order), and their values as a float64 ``(c, k)`` column
-  array.  The first query after any appends writes the new rows into
-  both.  Capacity doubles, so the amortised copy cost per row is
-  constant even when inserts and queries interleave, and an insert
-  itself never touches numpy.
+  caller's row order), and their values as a float64 ``(k, c)`` array,
+  one contiguous row per axis.  The first query after any appends writes
+  the new rows into both.  Capacity doubles, so the amortised copy cost
+  per row is constant even when inserts and queries interleave, and an
+  insert itself never touches numpy.
 
 ``select`` tests ``lo <= column <= hi`` on every specified axis.  The
 values are the events' own float64 values (``Event`` converts every value
@@ -26,15 +28,23 @@ time.  A full-range axis is skipped: event values lie in ``[0, 1]``.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Collection, Iterable, Sequence
+from array import array
+from typing import Collection, Iterable
 
 import numpy as np
 
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
 
-__all__ = ["EventTable"]
+__all__ = ["EventTable", "ROW_DTYPE", "row_array"]
+
+#: The dtype the fold reads row-id bytes as: ``array('q')``'s items.
+ROW_DTYPE = np.int64
+
+
+def row_array(rows: Iterable[int] = ()) -> array[int]:
+    """A store's row-id array (typecode ``'q'``), holding ``rows``."""
+    return array("q", rows)
 
 
 class EventTable:
@@ -52,7 +62,7 @@ class EventTable:
         self.dimensions = dimensions
         self._events: list[Event] = []
         self._objects = np.empty(0, dtype=object)
-        self._columns = np.empty((0, dimensions), dtype=np.float64)
+        self._columns = np.empty((dimensions, 0), dtype=np.float64)
         self._filled = 0
 
     def append(self, event: Event) -> int:
@@ -79,57 +89,52 @@ class EventTable:
             capacity = max(count, 2 * len(self._objects))
             objects = np.empty(capacity, dtype=object)
             objects[:filled] = self._objects[:filled]
-            columns = np.empty((capacity, self.dimensions))
-            columns[:filled] = self._columns[:filled]
+            columns = np.empty((self.dimensions, capacity))
+            columns[:, :filled] = self._columns[:, :filled]
             self._objects, self._columns = objects, columns
         fresh = events[filled:count]
         # ``fromiter`` keeps each Event whole; assigning the list itself
         # would unpack every Event as a sequence of values.
         self._objects[filled:count] = np.fromiter(fresh, dtype=object, count=len(fresh))
-        self._columns[filled:count] = [event.values for event in fresh]
+        # The transposed view takes the fresh rows as ``(n, k)`` values.
+        self._columns.T[filled:count] = [event.values for event in fresh]
         self._filled = count
 
-    def _match(
-        self, query: RangeQuery, row_lists: Collection[Sequence[int]]
-    ) -> np.ndarray:
+    def _match(self, query: RangeQuery, row_arrays: Collection[array[int]]) -> np.ndarray:
         """Index array of the matching rows, in input order: the kernel.
 
-        ``row_lists`` holds one row-id list per answered store (a
+        ``row_arrays`` holds one row-id array per answered store (a
         segment, a zone, a leaf, a node), read in order as one sequence.
-        The rows are gathered once with ``np.fromiter``, then each
-        specified axis takes its column at those rows and ands in one
-        closed ``lo <= column <= hi`` mask.  The caller guarantees the
-        query has the table's dimensionality: ``plan_query`` rejects a
-        mismatched query before any fold.
+        Their bytes are joined and read as one int64 index with
+        ``np.frombuffer``; then each specified axis takes its contiguous
+        column at those rows and ands in one closed ``lo <= column <= hi``
+        mask.  The caller guarantees the query has the table's
+        dimensionality: ``plan_query`` rejects a mismatched query before
+        any fold.
         """
-        count = sum(map(len, row_lists))
-        index = np.fromiter(chain.from_iterable(row_lists), dtype=np.intp, count=count)
-        if not count:
+        index = np.frombuffer(b"".join(row_arrays), dtype=ROW_DTYPE)
+        if not index.size:
             return index
         self._sync()
         mask = None
         for axis, (lo, hi) in enumerate(query.bounds):
             if lo > 0.0 or hi < 1.0:
-                column = self._columns[:, axis].take(index)
+                column = self._columns[axis].take(index)
                 test = (column >= lo) & (column <= hi)
                 mask = test if mask is None else mask & test
         return index if mask is None else index[mask]
 
-    def matching_rows(
-        self, query: RangeQuery, row_lists: Collection[Sequence[int]]
-    ) -> list[int]:
-        """Ids in ``row_lists`` whose event matches ``query``, in input order."""
-        return self._match(query, row_lists).tolist()
+    def matching_rows(self, query: RangeQuery, row_arrays: Collection[array[int]]) -> list[int]:
+        """Ids in ``row_arrays`` whose event matches ``query``, in input order."""
+        return self._match(query, row_arrays).tolist()
 
-    def select(
-        self, query: RangeQuery, row_lists: Collection[Sequence[int]]
-    ) -> list[Event]:
-        """The events in ``row_lists`` that match ``query``, in input order.
+    def select(self, query: RangeQuery, row_arrays: Collection[array[int]]) -> list[Event]:
+        """The events in ``row_arrays`` that match ``query``, in input order.
 
         Returns the stored ``Event`` objects themselves, gathered from the
         object array in one ``take``.
         """
-        index = self._match(query, row_lists)  # syncs ``_objects`` first
+        index = self._match(query, row_arrays)  # syncs ``_objects`` first
         return self._objects.take(index).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

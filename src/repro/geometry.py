@@ -182,16 +182,6 @@ def orientation(
     return 0
 
 
-def _on_segment(
-    a: tuple[float, float], b: tuple[float, float], p: tuple[float, float]
-) -> bool:
-    """Whether collinear point ``p`` lies on the closed segment ``ab``."""
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
 def segments_properly_intersect(
     p1: tuple[float, float],
     p2: tuple[float, float],

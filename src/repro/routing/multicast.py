@@ -108,9 +108,6 @@ class TreeDelivery:
         """Did every destination receive the query?"""
         return all(node in self.reached for node in self.tree.destinations)
 
-    def reached_destinations(self) -> tuple[int, ...]:
-        return tuple(n for n in self.tree.destinations if n in self.reached)
-
     def unreachable_destinations(self) -> tuple[int, ...]:
         return tuple(n for n in self.tree.destinations if n not in self.reached)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.sharing import CellStore, Segment, SharingPolicy
 from repro.events.event import Event
-from repro.events.table import EventTable
+from repro.events.table import EventTable, row_array
 from repro.exceptions import StorageError
 
 
@@ -53,7 +53,7 @@ class TestSegment:
         segment.add(table.append(Event.of(0.4, 0.2)), 0.2)
         assert len(segment) == 1
         assert segment.keys == [0.2]
-        assert segment.rows == [0]
+        assert segment.rows == row_array([0])
 
 
 class TestCellStore:
@@ -84,8 +84,8 @@ class TestCellStore:
         assert all(k < upper.v_lo for k in original.keys)
         assert all(k >= upper.v_lo for k in upper.keys)
         # Rows travel with their keys.
-        assert original.rows == [0, 1, 2]
-        assert upper.rows == [3, 4, 5]
+        assert original.rows == row_array([0, 1, 2])
+        assert upper.rows == row_array([3, 4, 5])
         assert store.total_events() == 6
         assert store.holders() == (1, 9)
 

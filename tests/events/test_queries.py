@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.events.event import Event
 from repro.events.queries import FULL_RANGE, QueryKind, RangeQuery
-from repro.events.table import EventTable
+from repro.events.table import EventTable, row_array
 from repro.exceptions import DimensionMismatchError, ValidationError
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -127,20 +127,23 @@ class TestMatching:
         events = [Event.of(0.1, 0.1), Event.of(0.6, 0.6), Event.of(0.4, 0.4)]
         table = _table(events)
         q = RangeQuery.of((0.0, 0.5), (0.0, 0.5))
-        assert table.select(q, [range(3)]) == [events[0], events[2]]
+        assert table.select(q, [row_array(range(3))]) == [events[0], events[2]]
 
-    def test_filter_accepts_any_iterable(self):
+    def test_filter_reads_row_arrays_in_order(self):
         events = [Event.of(0.1, 0.9), Event.of(0.3, 0.2), Event.of(0.2, 0.5)]
         table = _table(events)
         q = RangeQuery.partial(2, {0: (0.1, 0.2)})
-        assert table.select(q, [[0], (1, 2)]) == [events[0], events[2]]
+        assert table.select(q, [row_array([0]), row_array([1, 2])]) == [
+            events[0],
+            events[2],
+        ]
         assert table.select(q, ()) == []
-        assert table.select(q, [[], []]) == []
+        assert table.select(q, [row_array(), row_array()]) == []
 
     def test_filter_full_query_keeps_everything(self):
         events = [Event.of(0.0, 1.0), Event.of(1.0, 0.0), Event.of(0.5, 0.5)]
         table = _table(events)
-        assert table.select(RangeQuery.partial(2, {}), [range(3)]) == events
+        assert table.select(RangeQuery.partial(2, {}), [row_array(range(3))]) == events
 
     @given(st.data(), st.integers(min_value=1, max_value=5))
     def test_filter_equals_matches(self, data, k):
@@ -166,7 +169,7 @@ class TestMatching:
             for seq in range(data.draw(st.integers(min_value=0, max_value=30)))
         ]
         table = _table(events)
-        assert table.select(query, [range(len(events))]) == [
+        assert table.select(query, [row_array(range(len(events)))]) == [
             e for e in events if query.matches(e)
         ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.events.event import Event
 from repro.events.queries import FULL_RANGE, RangeQuery
-from repro.events.table import EventTable
+from repro.events.table import ROW_DTYPE, EventTable, row_array
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 edges = st.sampled_from([0.0, 1.0, 0.25, 0.5])
@@ -54,12 +55,12 @@ def _events(draw, query: RangeQuery, count: int, start: int) -> list[Event]:
     ]
 
 
-def _row_lists(draw, rows: list[int]) -> list[list[int]]:
-    """A shuffled subset of ``rows``, cut into consecutive row lists."""
+def _row_lists(draw, rows: list[int]) -> list[array[int]]:
+    """A shuffled subset of ``rows``, cut into consecutive row arrays."""
     subset = draw(st.permutations(rows))[: draw(st.integers(0, len(rows)))]
     cuts = sorted(draw(st.lists(st.integers(0, len(subset)), max_size=4)))
     bounds = [0, *cuts, len(subset)]
-    return [subset[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [row_array(subset[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class TestSelect:
@@ -91,15 +92,15 @@ class TestSelect:
             table.append(event)
             if event.values[0] <= 0.5:
                 expected.append(event)
-            got = table.select(query, [range(len(table))])
+            got = table.select(query, [row_array(range(len(table)))])
             assert _same(got, expected)
-        assert len(table._columns) == 128
+        assert table._columns.shape == (2, 128)
 
     def test_bounds_are_closed(self):
         table = EventTable(1)
         for value in (0.2, 0.3, 0.2 - 1e-12, 0.3 + 1e-12):
             table.append(Event.of(value))
-        rows = [range(4)]
+        rows = [row_array(range(4))]
         assert [e.values for e in table.select(RangeQuery.of((0.2, 0.3)), rows)] == [
             (0.2,),
             (0.3,),
@@ -112,8 +113,9 @@ class TestSelect:
         table = EventTable(1)
         low, high = table.append(Event.of(0.1)), table.append(Event.of(0.9))
         query = RangeQuery.of((0.0, 0.5))
-        assert table.matching_rows(query, [[low, high, low], [low]]) == [low, low, low]
-        assert table.matching_rows(RangeQuery.of(FULL_RANGE), [[high, low]]) == [
+        rows = [row_array([low, high, low]), row_array([low])]
+        assert table.matching_rows(query, rows) == [low, low, low]
+        assert table.matching_rows(RangeQuery.of(FULL_RANGE), [row_array([high, low])]) == [
             high,
             low,
         ]
@@ -122,7 +124,40 @@ class TestSelect:
         table = EventTable(3)
         query = RangeQuery.partial(3, {0: (0.1, 0.2)})
         assert table.select(query, []) == []
-        assert table.select(query, [[], ()]) == []
+        assert table.select(query, [row_array(), row_array()]) == []
+
+
+class TestRowArrays:
+    """Stores hand the kernel ``array('q')`` rows, read as int64 bytes."""
+
+    def test_row_array_items_are_the_gather_dtype(self):
+        rows = row_array([0, 2**40])
+        assert rows.typecode == "q"
+        assert rows.itemsize == np.dtype(ROW_DTYPE).itemsize
+        assert np.frombuffer(rows, dtype=ROW_DTYPE).tolist() == [0, 2**40]
+
+    @given(st.data(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200)
+    def test_select_equals_matches_with_repeats_and_empty_arrays(self, data, k):
+        # Row arrays drawn with repeated rows and empty arrays, with
+        # appends between selects that straddle the capacity doublings.
+        table = EventTable(k)
+        for step in range(data.draw(st.integers(1, 6))):
+            query = data.draw(_query(k))
+            for event in _events(data.draw, query, data.draw(st.integers(0, 12)), len(table)):
+                table.append(event)
+            size = 8 if len(table) else 0
+            rows = st.lists(st.integers(0, max(len(table) - 1, 0)), max_size=size)
+            arrays = data.draw(st.lists(rows.map(row_array), max_size=5))
+            got = table.select(query, arrays)
+            assert _same(got, _reference(table, query, arrays)), step
+            assert table.matching_rows(query, arrays) == [
+                row
+                for rows in arrays
+                for row in rows
+                if query.matches(table.events([row])[0])
+            ]
+            assert table._columns.shape[0] == k
 
 
 class TestFloatValues:
@@ -152,7 +187,7 @@ class TestFloatValues:
         ):
             assert all(type(b) is float for bound in query.bounds for b in bound)
             expected = [event] if query.matches(event) else []
-            assert table.select(query, [[0]]) == expected
+            assert table.select(query, [row_array([0])]) == expected
 
     def test_float32_value_is_its_float64_widening(self):
         # 0.1 has no float32 representation: the stored value is the
@@ -163,7 +198,7 @@ class TestFloatValues:
         table.append(event)
         query = RangeQuery.point(0.1)
         assert not query.matches(event)
-        assert table.select(query, [[0]]) == []
+        assert table.select(query, [row_array([0])]) == []
 
     def test_fraction_value_is_rounded_once(self):
         event = Event((Fraction(1, 3),))
@@ -171,7 +206,7 @@ class TestFloatValues:
         table.append(event)
         query = RangeQuery.point(1 / 3)
         assert query.matches(event)
-        assert table.select(query, [[0]]) == [event]
+        assert table.select(query, [row_array([0])]) == [event]
 
     def test_sequence_inputs_convert_too(self):
         assert Event([np.float64(0.25), 1]).values == (0.25, 1.0)

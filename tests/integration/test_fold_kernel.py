@@ -18,6 +18,7 @@ import pytest
 
 from repro.baselines.external import ExternalStorage
 from repro.baselines.flooding import LocalStorageFlooding
+from repro.core.replication import ReplicationPolicy
 from repro.core.sharing import SharingPolicy
 from repro.core.system import PoolSystem
 from repro.difs.index import DifsIndex
@@ -121,3 +122,69 @@ def test_fold_matches_scalar_reference(name, lossy, monkeypatch):
     assert [result.total_cost for result in columnar] == [
         result.total_cost for result in scalar
     ]
+
+
+def _pool_fold_reference(system: PoolSystem, sink: int, query: RangeQuery) -> list:
+    """Per-event ``matches`` over the planned segments, in fold order."""
+    expected = []
+    for leg in system.plan_query(sink, query).detail:
+        for ho, vo in leg.offsets:
+            store = system._stores.get((leg.pool, ho, vo))
+            for segment in store.segments if store is not None else ():
+                if segment.overlaps(*leg.vertical):
+                    expected.extend(
+                        event
+                        for event in system._table.events(segment.rows)
+                        if query.matches(event)
+                    )
+    return expected
+
+
+@pytest.mark.parametrize("replicas", [0, 1], ids=["unreplicated", "replicated"])
+@pytest.mark.parametrize("capacity", [2, 3, 4])
+def test_pool_fold_through_splits_handoffs_and_failures(capacity, replicas):
+    topo = deploy_uniform(120, seed=17)
+    system = PoolSystem(
+        Network(topo),
+        2,
+        seed=4,
+        sharing=SharingPolicy(enabled=True, capacity=capacity),
+        replication=ReplicationPolicy(replicas=replicas),
+    )
+    events = EventWorkload(dimensions=2, distribution="gaussian").generate(
+        160, seed=derive(9, "events"), sources=list(topo)
+    )
+    sink = topo.closest_node(topo.field.center)
+    queries = [
+        *QueryWorkload(dimensions=2).generate(6, seed=derive(9, "exact")),
+        *QueryWorkload(dimensions=2, kind="partial", unspecified=1).generate(
+            4, seed=derive(9, "partial")
+        ),
+        *(RangeQuery.point(*event.values) for event in events[::53]),
+        RangeQuery.partial(2, {}),
+    ]
+
+    def check() -> None:
+        stored = system.all_events()
+        assert len(stored) == system.stored_events
+        for query in queries:
+            result = system.query(sink, query)
+            assert not result.is_partial
+            got = [id(event) for event in result.events]
+            assert got == [id(e) for e in _pool_fold_reference(system, sink, query)]
+            assert Counter(got) == Counter(id(e) for e in stored if query.matches(e))
+
+    for event in events[:80]:
+        system.insert(event)
+    check()
+    for key in sorted(system._stores)[::4]:
+        system.handoff_cell(*key)
+    for event in events[80:]:
+        system.insert(event)
+    assert any(len(store.segments) > 1 for store in system._stores.values())
+    check()
+    load = system.storage_distribution()
+    victims = sorted((n for n in load if n != sink), key=lambda n: (-load[n], n))[:2]
+    report = system.handle_failures(victims)
+    assert (report.events_lost > 0) == (not replicas)
+    check()

@@ -43,6 +43,9 @@ class ExternalStorage:
         (where a base station would sit).
     """
 
+    #: Every plan is the one warehouse cell.
+    layout_version = 0
+
     def __init__(
         self, network: Network, dimensions: int, *, sink: int | None = None
     ) -> None:

@@ -40,6 +40,9 @@ __all__ = ["LocalStorageFlooding"]
 class LocalStorageFlooding:
     """Store-locally / flood-queries baseline over a :class:`Network`."""
 
+    #: Every plan is the whole network.
+    layout_version = 0
+
     def __init__(self, network: Network, dimensions: int) -> None:
         self.network = network.scope("flooding")
         self.dimensions = dimensions

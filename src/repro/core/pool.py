@@ -36,12 +36,22 @@ class PoolLayout:
     cells_by_offset:
         All ``l²`` global cells, built once: the cell at ``(HO, VO)``
         is entry ``HO · l + VO``.
+    offsets:
+        Every ``(HO, VO)`` pair, in the same order.
+    keys_by_offset:
+        The ``(index, HO, VO)`` store key of each cell, in the same order.
     """
 
     index: int
     pivot: Cell
     side_length: int
     cells_by_offset: tuple[Cell, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    offsets: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    keys_by_offset: tuple[tuple[int, int, int], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -58,6 +68,11 @@ class PoolLayout:
             self,
             "cells_by_offset",
             tuple(Cell(x + ho, y + vo) for ho in sides for vo in sides),
+        )
+        offsets = tuple((ho, vo) for ho in sides for vo in sides)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(
+            self, "keys_by_offset", tuple((self.index, ho, vo) for ho, vo in offsets)
         )
 
     # ------------------------------------------------------------------ #

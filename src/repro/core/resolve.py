@@ -22,7 +22,6 @@ queries after the ``[0, 1]`` rewrite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.core.grid import Cell
@@ -36,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "PoolQueryRanges",
+    "query_ranges",
     "query_ranges_for_pool",
     "resolve_pool",
     "relevant_offsets",
@@ -60,6 +60,41 @@ class PoolQueryRanges:
         )
 
 
+def query_ranges(query: RangeQuery) -> list[PoolQueryRanges]:
+    """Apply Theorem 3.2 for every Pool ``P_1 .. P_k`` at once.
+
+    The bounds are read once per query: ``max({L_j} \\ {L_i})`` is the
+    largest lower bound unless ``L_i`` is it, and then the runner-up (the
+    same for the uppers), so no per-Pool filtered list is built.
+    """
+    lowers = query.lowers
+    uppers = query.uppers
+    top_lower = max(lowers)
+    if len(lowers) == 1:
+        # One-dimensional degenerate case: the vertical axis repeats the
+        # horizontal key, so reuse the same range.
+        r_h = (top_lower, uppers[0])
+        return [PoolQueryRanges(pool=0, horizontal=r_h, vertical=r_h)]
+    other_lowers = _max_without_each(lowers)
+    other_uppers = _max_without_each(uppers)
+    return [
+        PoolQueryRanges(
+            pool=i,
+            horizontal=(top_lower, upper),
+            vertical=(other_lowers[i], min(upper, other_uppers[i])),
+        )
+        for i, upper in enumerate(uppers)
+    ]
+
+
+def _max_without_each(values: tuple[float, ...]) -> list[float]:
+    """Per index ``i``, the largest of ``values`` other than ``values[i]``."""
+    top = max(values)
+    at = values.index(top)
+    runner_up = max(values[:at] + values[at + 1 :])
+    return [runner_up if i == at else top for i in range(len(values))]
+
+
 def query_ranges_for_pool(query: RangeQuery, pool: int) -> PoolQueryRanges:
     """Apply Theorem 3.2 for Pool ``P_{pool+1}``.
 
@@ -70,28 +105,16 @@ def query_ranges_for_pool(query: RangeQuery, pool: int) -> PoolQueryRanges:
         raise ValidationError(
             f"pool index {pool} outside 0..{query.dimensions - 1}"
         )
-    lowers = query.lowers
-    uppers = query.uppers
-    r_h = (max(lowers), uppers[pool])
-    other_lowers = [lo for j, lo in enumerate(lowers) if j != pool]
-    other_uppers = [hi for j, hi in enumerate(uppers) if j != pool]
-    if other_lowers:
-        r_v = (max(other_lowers), min(uppers[pool], max(other_uppers)))
-    else:
-        # One-dimensional degenerate case: the vertical axis repeats the
-        # horizontal key, so reuse the same range.
-        r_v = r_h
-    return PoolQueryRanges(pool=pool, horizontal=r_h, vertical=r_v)
+    return query_ranges(query)[pool]
 
 
 def resolve_pool(
-    query: RangeQuery,
-    pool: int,
+    derived: PoolQueryRanges,
     side_length: int,
     *,
     recorder: "SpanRecorder | None" = None,
-) -> tuple[PoolQueryRanges, list[tuple[int, int]]]:
-    """Algorithm 2 for one Pool: its derived ranges and relevant offsets.
+) -> list[tuple[int, range]]:
+    """Algorithm 2 for one Pool: its relevant cells, as row windows.
 
     A cell is relevant iff its Equation 1 horizontal range intersects
     ``R_H^i(Q)`` *and* its vertical range intersects ``R_V^i(Q)``.  Cells
@@ -102,15 +125,16 @@ def resolve_pool(
     The relevant columns form one window of the Pool's columns, and each
     relevant column's relevant rows one window of its rows; both are
     found by bisecting the cached Equation 1 table, so the cost is one
-    step per relevant cell rather than one per cell of the Pool.  The
-    offsets come out column by column, rows ascending.
+    step per relevant column rather than one per cell of the Pool.  The
+    result lists ``(HO, rows)`` per column with a relevant cell, columns
+    ascending, ``rows`` the ``range`` of its relevant ``VO``.
 
     ``recorder`` (telemetry) logs one zero-message ``resolve`` span per
     call — the sink-local pruning step of the query lifecycle; it never
     causes traffic, which the span's ``messages=0`` makes auditable.
     """
-    derived = query_ranges_for_pool(query, pool)
-    offsets: list[tuple[int, int]] = []
+    windows: list[tuple[int, range]] = []
+    cells = 0
     if not derived.is_empty:
         table = equation1_table(side_length)
         v_lo, v_hi = derived.vertical
@@ -119,21 +143,19 @@ def resolve_pool(
         for ho in meeting_window(
             table.column_lows, table.column_highs, *derived.horizontal
         ):
-            offsets.extend(
-                zip(
-                    repeat(ho),
-                    meeting_window(row_lows[ho], row_highs[ho], v_lo, v_hi),
-                )
-            )
+            rows = meeting_window(row_lows[ho], row_highs[ho], v_lo, v_hi)
+            if rows:
+                windows.append((ho, rows))
+                cells += len(rows)
     if recorder is not None:
         recorder.record(
             "resolve",
             phase="resolve",
-            pool=pool,
-            cells=len(offsets),
-            pruned=not offsets,
+            pool=derived.pool,
+            cells=cells,
+            pruned=not cells,
         )
-    return derived, offsets
+    return windows
 
 
 def relevant_offsets(
@@ -145,9 +167,13 @@ def relevant_offsets(
 ) -> list[tuple[int, int]]:
     """Algorithm 2: the ``(HO, VO)`` offsets of relevant cells in a Pool.
 
-    The offsets half of :func:`resolve_pool`, which documents the rule.
+    Column by column, rows ascending: :func:`resolve_pool`'s windows
+    over :func:`query_ranges_for_pool`, spelled out.
     """
-    return resolve_pool(query, pool, side_length, recorder=recorder)[1]
+    windows = resolve_pool(
+        query_ranges_for_pool(query, pool), side_length, recorder=recorder
+    )
+    return [(ho, vo) for ho, rows in windows for vo in rows]
 
 
 def relevant_cells(query: RangeQuery, layout: PoolLayout) -> list[Cell]:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable, cast
 
 from repro.core.grid import Cell, Grid
 from repro.core.insertion import Placement, candidate_placements
 from repro.core.pool import PoolLayout, choose_pivots
 from repro.core.ranges import vertical_range
-from repro.core.resolve import query_ranges_for_pool, resolve_pool
+from repro.core.resolve import query_ranges, query_ranges_for_pool, resolve_pool
 from repro.aggregates import AggregateKind, AggregateState
 from repro.core.replication import FailureReport, ReplicationPolicy
 from repro.core.sharing import CellStore, SharingPolicy
@@ -47,6 +47,7 @@ from repro.geometry import distance_sq
 from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
+from repro.routing.multicast import MulticastTree, TreeBuilder
 from repro.rng import SeedLike, derive
 from repro.telemetry.spans import open_span
 
@@ -93,10 +94,11 @@ class PoolLegPlan:
     """One Pool's slice of a resolved :class:`~repro.exec.QueryPlan`.
 
     Pure Theorem 3.2 / Algorithm 2 output: the relevant cells, the
-    vertical range the holders must overlap, and the physical
-    destinations (insertion-ordered, deduplicated) the splitter tree
-    must reach.  Carries no message accounting — that lives in the
-    matching :class:`PoolLegExecution`.
+    vertical range the holders must overlap, the physical destinations
+    (insertion-ordered, deduplicated) the splitter tree must reach, and
+    that tree, grafted from ``splitter`` over cached GPSR paths.  Carries
+    no message accounting — that lives in the matching
+    :class:`PoolLegExecution`.
     """
 
     pool: int
@@ -109,6 +111,9 @@ class PoolLegPlan:
     #: the sink for the cell to count as answered (the elected index node
     #: for cells with no store yet).
     cell_holders: tuple[tuple[Cell, frozenset[int]], ...]
+    #: The merged forwarding tree from ``splitter`` to ``destinations``.
+    #: Compared, but left out of the hash: a tree is a pair of dicts.
+    tree: MulticastTree = field(hash=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,6 +220,23 @@ class PoolSystem:
         # Replica nodes per cell key (elected lazily, re-elected on
         # failure); replicas hold a synchronous full copy of their cell.
         self._replica_nodes: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        # Bumped by every change to the segment layout or the elected roles.
+        self._layout_epoch = 0
+
+    @property
+    def layout_version(self) -> tuple[int, int]:
+        """Changes whenever a fresh :meth:`plan_query` could differ.
+
+        A plan reads the segment layout, the elected index nodes and
+        splitters, and the GPSR paths its trees graft over.  Segment
+        splits (:meth:`_maybe_share`), :meth:`handoff_cell` and
+        :meth:`handle_failures` bump the first half; every
+        ``Network.fail_nodes`` bumps the second.  The first insert into
+        an empty cell bumps nothing: the new store's one segment spans
+        the cell and is held by the cell's index node, which is exactly
+        the holder the plan named for the empty cell.
+        """
+        return (self._layout_epoch, self.network.router_version)
 
     # ------------------------------------------------------------------ #
     # Roles                                                              #
@@ -421,6 +443,7 @@ class PoolSystem:
            transfer from an alive holder).
         """
         failed_set = set(failed)
+        self._layout_epoch += 1
         self.network.fail_nodes(sorted(failed_set))
         self._index_node_cache.clear()
         self._splitter_cache.clear()
@@ -503,6 +526,7 @@ class PoolSystem:
             upper = store.split_segment(segment, delegate)
             if upper is None:
                 continue
+            self._layout_epoch += 1
             moved = len(upper)
             self._node_load[source_node] = (
                 self._node_load.get(source_node, 0) - moved
@@ -564,6 +588,7 @@ class PoolSystem:
         new_node = self._find_delegate(cell, store)
         if new_node is None:
             return None
+        self._layout_epoch += 1
         hops = self.network.router.hops(store.primary_node, new_node)
         old_node = store.primary_node
         moved = 0
@@ -601,73 +626,89 @@ class PoolSystem:
         """Pure resolving (Theorem 3.2 / Algorithm 2): zero messages.
 
         Per Pool with at least one relevant cell, derives the horizontal/
-        vertical ranges, lists the relevant cells, and names the physical
-        holders (ordered-deduplicated) the splitter tree must reach —
-        everything the sink computes locally before any radio traffic.
+        vertical ranges, lists the relevant cells, names the physical
+        holders (ordered-deduplicated) the splitter tree must reach and
+        grafts that tree — everything the sink computes locally before any
+        radio traffic.  A plan stays valid while :attr:`layout_version`
+        reads the same.
         """
         check_query_dimensions(self.dimensions, query)
         tel = self.network.telemetry
         side = self.side_length
         stores = self._stores
+        keys: list[tuple[int, int, int]] = []
         legs: list[PoolLegPlan] = []
-        for pool in self.pools:
-            derived, offsets = resolve_pool(
-                query, pool.index, side, recorder=tel
-            )
-            if not offsets:
+        for pool, derived in zip(self.pools, query_ranges(query)):
+            windows = resolve_pool(derived, side, recorder=tel)
+            if not windows:
                 continue
             v_lo, v_hi = derived.vertical
-            pool_cells = pool.cells_by_offset
+            # Each column's relevant cells are one slice of the layout's
+            # flat tables, so cells, keys and offsets are copied, not built.
+            offsets: list[tuple[int, int]] = []
             cells: list[Cell] = []
+            leg_keys: list[tuple[int, int, int]] = []
+            for ho, rows in windows:
+                window = slice(ho * side + rows.start, ho * side + rows.stop)
+                offsets.extend(pool.offsets[window])
+                cells.extend(pool.cells_by_offset[window])
+                leg_keys.extend(pool.keys_by_offset[window])
             destinations: dict[int, None] = {}
             cell_holders: list[tuple[Cell, frozenset[int]]] = []
-            for ho, vo in offsets:
-                cell = pool_cells[ho * side + vo]
-                cells.append(cell)
-                store = stores.get((pool.index, ho, vo))
+            for cell, key in zip(cells, leg_keys):
+                store = stores.get(key)
                 if store is None:
                     node = self.index_node(cell)
                     destinations[node] = None
-                    nodes = [node]
-                else:
-                    nodes = []
-                    for segment in store.segments:
-                        if segment.overlaps(v_lo, v_hi):
-                            destinations[segment.node] = None
-                            nodes.append(segment.node)
+                    cell_holders.append((cell, frozenset((node,))))
+                    continue
+                nodes: list[int] = []
+                for segment in store.segments:
+                    if segment.overlaps(v_lo, v_hi):
+                        destinations[segment.node] = None
+                        nodes.append(segment.node)
                 cell_holders.append((cell, frozenset(nodes)))
+            keys.extend(leg_keys)
+            splitter = (
+                self.splitter(sink, pool.index) if self.route_via_splitter else sink
+            )
             legs.append(
                 PoolLegPlan(
                     pool=pool.index,
-                    splitter=(
-                        self.splitter(sink, pool.index)
-                        if self.route_via_splitter
-                        else sink
-                    ),
+                    splitter=splitter,
                     offsets=tuple(offsets),
                     cells=tuple(cells),
                     vertical=derived.vertical,
                     destinations=tuple(destinations),
                     cell_holders=tuple(cell_holders),
+                    tree=self._tree(splitter, destinations),
                 )
             )
-        return self._assemble_plan("pool", sink, query, tuple(legs))
+        return self._assemble_plan("pool", sink, query, tuple(keys), tuple(legs))
+
+    def _tree(self, root: int, destinations: Iterable[int]) -> MulticastTree:
+        """The merged GPSR tree from ``root`` to ``destinations``, in order."""
+        builder = TreeBuilder(self.network.router, root)
+        builder.add_destinations(destinations)
+        return builder.build()
 
     def _assemble_plan(
         self,
         tag: str,
         sink: int,
         query: RangeQuery,
+        keys: tuple[tuple[int, int, int], ...],
         legs: tuple[PoolLegPlan, ...],
     ) -> QueryPlan:
-        """The :class:`QueryPlan` over ``legs``, its share key tagged ``tag``."""
+        """The :class:`QueryPlan` over ``legs``, its share key tagged ``tag``.
+
+        ``keys`` are the legs' ``(pool, ho, vo)`` cell keys, leg by leg.
+        """
         return QueryPlan(
             system="pool",
             sink=sink,
             query=query,
-            cells=tuple(
-                (leg.pool, ho, vo) for leg in legs for ho, vo in leg.offsets
-            ),
+            cells=keys,
             destinations=tuple(
                 dict.fromkeys(node for leg in legs for node in leg.destinations)
             ),
@@ -724,6 +765,8 @@ class PoolSystem:
         unreachable_nodes: dict[int, None] = {}
         stores = self._stores
         leg_plans: tuple[PoolLegPlan, ...] = plan.detail
+        # ``plan.cells`` lists every leg's store keys, leg after leg.
+        keys = iter(cast("tuple[tuple[int, int, int], ...]", plan.cells))
         for leg, leg_exec in zip(leg_plans, execution.detail):
             answered = leg_exec.answered
             v_lo, v_hi = leg.vertical
@@ -740,15 +783,16 @@ class PoolSystem:
             )
             visited.extend(leg.destinations)
             attempted_cells += len(leg.cell_holders)
-            # ``offsets`` and ``cell_holders`` are parallel, cell by cell.
-            for (ho, vo), (cell, cell_nodes) in zip(leg.offsets, leg.cell_holders):
+            # ``cell_holders`` goes first: zip stops on it without drawing
+            # the next leg's first key.
+            for (cell, cell_nodes), key in zip(leg.cell_holders, keys):
                 if cell_nodes <= answered:
                     answered_cells += 1
                 else:
                     unreachable_cells.append(cell)
                     for node in sorted(cell_nodes - answered):
                         unreachable_nodes[node] = None
-                store = stores.get((leg.pool, ho, vo))
+                store = stores.get(key)
                 if store is None:
                     continue
                 for segment in store.segments:
@@ -786,6 +830,7 @@ class PoolSystem:
             return None
         missing = set(result.unreachable_cells)
         leg_plans: tuple[PoolLegPlan, ...] = plan.detail
+        keys: list[tuple[int, int, int]] = []
         legs: list[PoolLegPlan] = []
         for leg in leg_plans:
             keep = [i for i, cell in enumerate(leg.cells) if cell in missing]
@@ -796,18 +841,23 @@ class PoolSystem:
             for _, cell_nodes in cell_holders:
                 for node in sorted(cell_nodes):
                     destinations[node] = None
+            offsets = tuple(leg.offsets[i] for i in keep)
+            keys.extend((leg.pool, ho, vo) for ho, vo in offsets)
             legs.append(
                 replace(
                     leg,
-                    offsets=tuple(leg.offsets[i] for i in keep),
+                    offsets=offsets,
                     cells=tuple(leg.cells[i] for i in keep),
                     destinations=tuple(destinations),
                     cell_holders=cell_holders,
+                    tree=self._tree(leg.splitter, destinations),
                 )
             )
         if not legs:
             return None
-        return self._assemble_plan("pool-retry", plan.sink, plan.query, tuple(legs))
+        return self._assemble_plan(
+            "pool-retry", plan.sink, plan.query, tuple(keys), tuple(legs)
+        )
 
     def query_span_attrs(self, result: QueryResult) -> dict[str, object]:
         """Pool attributes for the query lifecycle span."""
@@ -919,7 +969,8 @@ class PoolSystem:
 
         Span tree per Pool (Section 3.2.3): ``pool-fanout`` wrapping
         ``sink-to-splitter`` (the unicast leg), ``cell-fanout`` (opened by
-        :meth:`Network.disseminate`) and ``reply-aggregation`` (the
+        :meth:`Network.send_tree` for the leg's planned tree) and
+        ``reply-aggregation`` (the
         replies retracing the tree, then splitter → sink).  Every span
         reads its messages off the ledger.  Under a reliability layer a
         ``delivery-failure`` event span marks an unreachable splitter,
@@ -929,7 +980,6 @@ class PoolSystem:
         stats = self.network.stats
         rel = self.network.reliability
         pool = leg_plan.pool
-        destinations = list(leg_plan.destinations)
         with open_span(tel, "pool-fanout", ledger=stats, phase="forward", pool=pool) as pool_span:
             if self.route_via_splitter:
                 splitter = leg_plan.splitter
@@ -959,13 +1009,11 @@ class PoolSystem:
                         )
                     leg.add_nodes(path)
                 sink_hops = len(path) - 1
-                root = splitter
             else:
                 sink_hops = 0
-                root = sink
                 path = [sink]
-            delivery = self.network.disseminate(
-                MessageCategory.QUERY_FORWARD, root, destinations
+            delivery = self.network.send_tree(
+                MessageCategory.QUERY_FORWARD, leg_plan.tree
             )
             tree = delivery.tree
             with open_span(
@@ -986,7 +1034,7 @@ class PoolSystem:
                         answered = frozenset()
                     reply.annotate(answered=len(answered))
                 reply.add_nodes(tree.depths)
-            pool_span.add_nodes(destinations)
+            pool_span.add_nodes(leg_plan.destinations)
         return PoolLegExecution(
             pool=pool,
             sink_to_splitter_hops=sink_hops,

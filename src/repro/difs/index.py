@@ -93,6 +93,9 @@ class DifsIndex:
         leaves.
     """
 
+    #: Plans read only the hashed index tree, fixed at construction.
+    layout_version = 0
+
     def __init__(
         self,
         network: Network,

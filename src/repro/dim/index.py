@@ -59,6 +59,9 @@ class DimIndex:
         Event dimensionality ``k``.
     """
 
+    #: Plans read only the zone tree, fixed at construction.
+    layout_version = 0
+
     def __init__(self, network: Network, dimensions: int) -> None:
         self.network = network.scope("dim")
         self.dimensions = dimensions

@@ -90,6 +90,17 @@ class StagedQuerySystem(Protocol):
     @property
     def network(self) -> "Network": ...
 
+    @property
+    def layout_version(self) -> Hashable:
+        """Changes whenever a fresh :meth:`plan_query` could differ.
+
+        Plans depend only on the query, the store layout and the routes,
+        never on the stored events; the serving layer re-executes a kept
+        plan while this reads the same.  Systems whose plans read only
+        static structure keep a constant.
+        """
+        ...
+
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
         """Pure resolving: zero messages, hashable plan."""
         ...

@@ -8,7 +8,8 @@ handful of communication primitives Pool, DIM and GHT need:
 * :meth:`unicast` / :meth:`unicast_to_point` — one logical message, hop
   count recorded under a category;
 * :meth:`disseminate` — push one message down a merged forwarding tree,
-  reporting which nodes it reached;
+  reporting which nodes it reached (:meth:`send_tree` sends a tree
+  built beforehand);
 * :meth:`collect_up_tree` — aggregate the replies back up that tree,
   reporting which nodes' replies reached the root.
 
@@ -34,7 +35,7 @@ from repro.network.messages import MessageCategory
 from repro.network.reliability import ReliabilityLayer
 from repro.network.topology import Topology
 from repro.routing.gpsr import GPSRRouter
-from repro.routing.multicast import TreeBuilder, TreeDelivery
+from repro.routing.multicast import MulticastTree, TreeBuilder, TreeDelivery
 from repro.routing.planarization import PlanarizationKind
 from repro.telemetry.spans import open_span
 
@@ -94,6 +95,9 @@ class Network:
             assert topology is not None
             deployment = Deployment(topology, planarization=planarization)
         self._deployment = deployment
+        #: Bumped by every :meth:`fail_nodes`: a plan holding trees grafted
+        #: over this facade's routes is stale once it changes.
+        self.router_version = 0
         self.stats = stats if stats is not None else MessageStats()
         self.energy_model = energy_model or EnergyModel()
         self.telemetry = telemetry
@@ -174,6 +178,7 @@ class Network:
         :meth:`repro.core.system.PoolSystem.handle_failures`).
         """
         self._deployment = self._deployment.fail_nodes(tuple(nodes))
+        self.router_version += 1
 
     @property
     def failed_nodes(self) -> frozenset[int]:
@@ -253,24 +258,35 @@ class Network:
         src: int,
         destinations: Sequence[int],
     ) -> TreeDelivery:
-        """Push one message down a merged tree, reporting who received it.
+        """Build the merged tree from ``src`` to ``destinations``, then send it.
 
-        Without a reliability layer every tree node is reached and the
-        whole dissemination is charged in bulk (one transmission per
-        edge).
-        With one, edges are attempted in deterministic BFS order (parents
-        before children, siblings sorted); an edge whose ARQ budget is
-        exhausted prunes its subtree — a branch that never heard the
-        query cannot relay it.  Building and charging run inside a
-        ``cell-fanout`` span, the dissemination leg of Section 3.2.3.
+        Building is pure planning over cached GPSR paths; the charging is
+        :meth:`send_tree`'s.
         """
-        tel = self.telemetry
+        builder = TreeBuilder(self.router, src)
+        builder.add_destinations(destinations)
+        return self.send_tree(category, builder.build())
+
+    def send_tree(
+        self, category: MessageCategory, tree: MulticastTree
+    ) -> TreeDelivery:
+        """Push one message down a built tree, reporting who received it.
+
+        The one send path of every dissemination: :meth:`disseminate`
+        builds a tree and calls this, and Pool sends the tree its plan
+        already carries.  Without a reliability layer every tree node is
+        reached and the whole dissemination is charged in bulk (one
+        transmission per edge).  With one, edges are attempted in
+        deterministic BFS order (parents before children, siblings
+        sorted); an edge whose ARQ budget is exhausted prunes its
+        subtree, since a branch that never heard the query cannot relay
+        it.  Charging runs inside a ``cell-fanout`` span, the
+        dissemination leg of Section 3.2.3.
+        """
+        src = tree.root
         with open_span(
-            tel, "cell-fanout", ledger=self.stats, phase="forward", root=src
+            self.telemetry, "cell-fanout", ledger=self.stats, phase="forward", root=src
         ) as span:
-            builder = TreeBuilder(self.router, src)
-            builder.add_destinations(destinations)
-            tree = builder.build()
             span.annotate(destinations=len(tree.destinations))
             span.add_nodes(tree.depths)
             rel = self.reliability

@@ -174,7 +174,7 @@ class TreeBuilder:
 
         Pure planning: nothing is charged or recorded here.  The caller
         charges the tree when it sends the query down it
-        (:meth:`repro.network.network.Network.disseminate`, which also
+        (:meth:`repro.network.network.Network.send_tree`, which also
         opens the ``cell-fanout`` span).
         """
         return MulticastTree(

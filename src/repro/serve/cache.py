@@ -12,6 +12,15 @@ conservative whole-system sentinels).  So invalidating exactly the
 entries whose cell set contains the insert's cell can never serve a
 stale result — and never evicts an unaffected entry.
 
+An invalidation clears only the *result*.  The plan (which cells, which
+holders, which splitter trees) never reads the stored events, so it is
+kept, with the system's ``layout_version`` it was planned under.  A
+request that finds a kept plan but no live result re-executes that plan
+while the system's version still matches, skipping ``plan_query``
+(and so its ``resolve`` spans); the re-execution charges exactly the
+messages a fresh plan would.  Kept plans wait in an insertion-ordered
+table of at most :data:`KEPT_PLANS` entries; the oldest goes first.
+
 The cache hooks a system's ``insert_listeners``; detach with
 :meth:`PlanResultCache.detach` (or the system's ``close()``).
 """
@@ -26,9 +35,13 @@ from repro.dcs import QueryResult
 from repro.events.queries import RangeQuery
 from repro.exec import QueryPlan
 
-__all__ = ["CacheEntry", "PlanResultCache"]
+__all__ = ["CacheEntry", "PlanResultCache", "KEPT_PLANS"]
 
 CacheKey = tuple[int, Hashable]
+
+#: Most plans kept after their results were invalidated; the oldest is
+#: dropped first.  The live entries are bounded by the request mix alone.
+KEPT_PLANS = 256
 
 
 def _native_cell(cell: Any) -> Hashable:
@@ -48,6 +61,8 @@ def _native_cell(cell: Any) -> Hashable:
 class CacheEntry:
     """One cached plan with its folded result.
 
+    ``version`` is the system's ``layout_version`` the plan was made
+    under (``None``: never re-executed once its result is invalidated).
     ``cost`` is what the producing execution charged to the ledger — the
     messages a cache hit avoids re-charging (exact on a deterministic
     network: re-executing the same plan charges the same messages).
@@ -62,6 +77,7 @@ class CacheEntry:
     result: QueryResult
     cost: int
     complete: bool = True
+    version: Hashable | None = None
 
 
 class PlanResultCache:
@@ -77,9 +93,11 @@ class PlanResultCache:
 
     def __init__(self, *, keep_stale: bool = False) -> None:
         self._entries: dict[CacheKey, CacheEntry] = {}
-        # Inverted index: native cell -> keys of entries whose plan
-        # resolved that cell.
-        self._by_cell: dict[Hashable, set[CacheKey]] = {}
+        # Invalidated entries' plans with their versions, oldest first.
+        self._kept: dict[CacheKey, tuple[QueryPlan, Hashable | None]] = {}
+        # Inverted index: native cell -> keys of live entries whose plan
+        # resolved that cell, in insertion order (a dict as an ordered set).
+        self._by_cell: dict[Hashable, dict[CacheKey, None]] = {}
         self._attached: list[tuple[Any, Any]] = []
         self.keep_stale = keep_stale
         self._stale: dict[CacheKey, CacheEntry] = {}
@@ -113,6 +131,19 @@ class PlanResultCache:
             self.hits += 1
         return entry
 
+    def kept_plan(
+        self, sink: int, query: RangeQuery, version: Hashable
+    ) -> QueryPlan | None:
+        """The kept plan of ``(sink, query)`` if made under ``version``.
+
+        Read after :meth:`lookup` missed.  ``None`` when no plan was kept
+        or the system's layout moved on since (the caller re-plans).
+        """
+        kept = self._kept.get((sink, query))
+        if kept is None or version is None or kept[1] != version:
+            return None
+        return kept[0]
+
     def lookup_stale(self, sink: int, query: RangeQuery) -> CacheEntry | None:
         """A stale-but-complete entry for ``(sink, query)``, if retained.
 
@@ -125,10 +156,17 @@ class PlanResultCache:
             self.stale_hits += 1
         return entry
 
-    def store(self, plan: QueryPlan, result: QueryResult, cost: int) -> None:
+    def store(
+        self,
+        plan: QueryPlan,
+        result: QueryResult,
+        cost: int,
+        version: Hashable | None = None,
+    ) -> None:
         """Cache a freshly folded result under its plan's identities.
 
-        Completeness is taken from the result itself: a
+        ``version`` is the system's ``layout_version`` when ``plan`` was
+        made.  Completeness is taken from the result itself: a
         :class:`~repro.dcs.PartialResult` is stored *tagged incomplete*
         so it can never satisfy a plain lookup (see :meth:`lookup`).
         """
@@ -136,60 +174,73 @@ class PlanResultCache:
         existing = self._entries.get(key)
         if existing is not None:
             self._unindex(key, existing.plan)
+        self._kept.pop(key, None)
         complete = not result.is_partial
         self._entries[key] = CacheEntry(
-            plan=plan, result=result, cost=cost, complete=complete
+            plan=plan, result=result, cost=cost, complete=complete, version=version
         )
         if complete:
             # A fresh complete answer supersedes any stale copy.
             self._stale.pop(key, None)
-        for cell in dict.fromkeys(plan.cells):
-            self._by_cell.setdefault(cell, set()).add(key)
+        by_cell = self._by_cell
+        for cell in plan.cells:
+            anchored = by_cell.get(cell)
+            if anchored is None:
+                by_cell[cell] = {key: None}
+            else:
+                anchored[key] = None
 
     # ------------------------------------------------------------------ #
     # Invalidation                                                       #
     # ------------------------------------------------------------------ #
 
     def invalidate_cell(self, cell: Hashable) -> int:
-        """Drop every entry whose resolved cell set contains ``cell``.
+        """Clear the result of every entry whose cell set contains ``cell``.
 
-        Returns how many entries were invalidated.
+        Each entry's plan is kept (see :meth:`kept_plan`), in the order
+        the entries were indexed under ``cell``.  Returns how many results
+        were invalidated.
         """
         keys = self._by_cell.pop(_native_cell(cell), None)
         if not keys:
             return 0
-        dropped = 0
-        for key in sorted(keys, key=repr):
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                continue
+        for key in keys:
+            entry = self._entries.pop(key)
             self._unindex(key, entry.plan)
             if self.keep_stale and entry.complete:
                 self._stale[key] = entry
-            dropped += 1
-        self.invalidations += dropped
-        return dropped
+            self._keep(key, entry)
+        self.invalidations += len(keys)
+        return len(keys)
 
     def invalidate_all(self) -> int:
-        """Drop everything (topology changes, failure epochs)."""
+        """Drop everything, plans included (topology changes, failure epochs)."""
         dropped = len(self._entries)
         if self.keep_stale:
-            for key in sorted(self._entries, key=repr):
-                entry = self._entries[key]
+            for key, entry in self._entries.items():
                 if entry.complete:
                     self._stale[key] = entry
         self._entries.clear()
+        self._kept.clear()
         self._by_cell.clear()
         self.invalidations += dropped
         return dropped
 
+    def _keep(self, key: CacheKey, entry: CacheEntry) -> None:
+        """Keep an invalidated entry's plan, dropping the oldest when full."""
+        kept = self._kept
+        if len(kept) >= KEPT_PLANS:
+            del kept[next(iter(kept))]
+        kept[key] = (entry.plan, entry.version)
+
     def _unindex(self, key: CacheKey, plan: QueryPlan) -> None:
-        for cell in dict.fromkeys(plan.cells):
-            anchored = self._by_cell.get(cell)
+        by_cell = self._by_cell
+        for cell in plan.cells:
+            anchored = by_cell.get(cell)
             if anchored is not None:
-                anchored.discard(key)
+                anchored.pop(key, None)
                 if not anchored:
-                    del self._by_cell[cell]
+                    del by_cell[cell]
 
     # ------------------------------------------------------------------ #
     # Insert-listener wiring                                             #
@@ -218,6 +269,7 @@ class PlanResultCache:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
+        """Live results (kept plans without a result do not count)."""
         return len(self._entries)
 
     def __contains__(self, key: CacheKey) -> bool:

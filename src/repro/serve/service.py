@@ -7,7 +7,9 @@ pipeline in the two ways it was built for:
 * **Plan/result caching** — a repeated ``(sink, query)`` is answered from
   the :class:`~repro.serve.cache.PlanResultCache` without planning or
   charging a single message; insert listeners invalidate exactly the
-  entries whose resolved cell set the new event touched.
+  results whose resolved cell set the new event touched, and the next
+  request re-executes the kept plan while the system's
+  ``layout_version`` still matches, without planning again.
 * **Batch coalescing** — requests admitted in the same batch window whose
   plans carry equal ``share_key``\\ s share ONE execution: the group
   leader disseminates, every member folds its own result from the shared
@@ -357,11 +359,15 @@ class QueryService:
         the batch, at least the batch's start time.  It drives the
         admitted loop's server occupancy; the legacy loop ignores it.
         """
-        network = self.system.network
+        system = self.system
+        network = system.network
+        cache = self.cache
         with open_span(
             network.telemetry, "serve-batch", ledger=network.stats, phase="serve", size=len(batch)
         ):
             done_at = self.clock.now
+            # Nothing in a batch changes the layout, so one read serves it.
+            version = system.layout_version
             # Cache lookups come before planning: a hit skips resolving
             # entirely (no resolve telemetry, zero messages).
             groups: dict[Hashable, list[tuple[ServeRequest, QueryPlan]]] = {}
@@ -381,8 +387,8 @@ class QueryService:
                         matches=0,
                     )
                     continue
-                if self.cache is not None:
-                    entry = self.cache.lookup(request.sink, request.query)
+                if cache is not None:
+                    entry = cache.lookup(request.sink, request.query)
                     if entry is not None:
                         # The folded result already sits at this sink; no
                         # radio round trip, latency is pure queue wait.
@@ -399,10 +405,18 @@ class QueryService:
                 if self.breaker is not None and self.breaker.is_open(self.clock.now):
                     self._serve_while_open(request, report)
                     continue
-                plan = self.system.plan_query(request.sink, request.query)
+                plan = (
+                    cache.kept_plan(request.sink, request.query, version)
+                    if cache is not None
+                    else None
+                )
+                if plan is None:
+                    plan = system.plan_query(request.sink, request.query)
                 groups.setdefault(plan.share_key, []).append((request, plan))
             for members in groups.values():
-                done_at = max(done_at, self._execute_group(members, report))
+                done_at = max(
+                    done_at, self._execute_group(members, report, version)
+                )
             return done_at
 
     def _serve_while_open(
@@ -439,7 +453,13 @@ class QueryService:
         self,
         members: list[tuple[ServeRequest, QueryPlan]],
         report: ServeReport,
+        version: Hashable,
     ) -> float:
+        """Execute one share-key group once; fold, retry and cache per member.
+
+        ``version`` is the system's ``layout_version`` the members' plans
+        were made (or kept) under.
+        """
         stats = self.system.network.stats
         _, leader_plan = members[0]
         before = stats.total
@@ -464,7 +484,9 @@ class QueryService:
                 result, cost = self._retry_partial(plan, result)
                 extra_cost += cost
             if self.cache is not None:
-                self.cache.store(plan, result, cost=charged + extra_cost)
+                self.cache.store(
+                    plan, result, cost=charged + extra_cost, version=version
+                )
             complete = not result.is_partial
             if complete:
                 outcome = OUTCOME_EXECUTED if position == 0 else OUTCOME_COALESCED

@@ -3,11 +3,13 @@
 The oracle below is the planner as it was before resolving moved onto the
 cached Equation 1 tables: Algorithm 2 by scanning every cell, a
 ``Pool.cell_at`` per relevant cell and a ``segments_overlapping`` list per
-stored cell.  Every field of every plan must match it, and so must the
-retry plan ``plan_retry`` builds from each (its ``cell_holders`` come from
-the plan), in worlds drawn with split segments, a handed-off cell, failed
-nodes (with and without replication), empty cells and queries whose
-bounds sit on cell edges or on the closed top, 1.0.
+stored cell, with each leg's tree grafted one destination at a time from
+its splitter, as ``Network.disseminate`` grafts it.  Every field of every
+plan must match it, trees included, and so must the retry plan
+``plan_retry`` builds from each (its ``cell_holders`` come from the plan),
+in worlds drawn with split segments, a handed-off cell, failed nodes (with
+and without replication), empty cells and queries whose bounds sit on cell
+edges or on the closed top, 1.0.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.events.queries import RangeQuery
 from repro.exec import QueryPlan
 from repro.network.network import Network
 from repro.network.topology import deploy_uniform
+from repro.routing.multicast import MulticastTree, TreeBuilder
 
 from tests.core.test_resolve import scalar_relevant_offsets
 
@@ -64,22 +67,59 @@ def oracle_plan(system: PoolSystem, sink: int, query: RangeQuery) -> QueryPlan:
                 destinations[segment.node] = None
                 holders.add(segment.node)
             cell_holders.append((cell, frozenset(holders)))
+        splitter = (
+            system.splitter(sink, pool.index) if system.route_via_splitter else sink
+        )
         legs.append(
             PoolLegPlan(
                 pool=pool.index,
-                splitter=(
-                    system.splitter(sink, pool.index)
-                    if system.route_via_splitter
-                    else sink
-                ),
+                splitter=splitter,
                 offsets=tuple(offsets),
                 cells=tuple(cells),
                 vertical=derived.vertical,
                 destinations=tuple(destinations),
                 cell_holders=tuple(cell_holders),
+                tree=oracle_tree(system, splitter, destinations),
             )
         )
     return _assemble(system, "pool", sink, query, tuple(legs))
+
+
+def oracle_tree(system: PoolSystem, root: int, destinations) -> MulticastTree:
+    """The tree ``Network.disseminate`` grafts from ``root``, one path at a time."""
+    builder = TreeBuilder(system.network.router, root)
+    for node in destinations:
+        builder.add_destination(node)
+    return builder.build()
+
+
+def oracle_retry(system: PoolSystem, plan: QueryPlan, result) -> QueryPlan | None:
+    """``plan_retry`` as a per-cell filter of ``plan``, trees grafted afresh."""
+    missing = set(result.unreachable_cells)
+    legs = []
+    for leg in plan.detail:
+        keep = [i for i, cell in enumerate(leg.cells) if cell in missing]
+        if not keep:
+            continue
+        destinations: dict[int, None] = {}
+        for i in keep:
+            for node in sorted(leg.cell_holders[i][1]):
+                destinations[node] = None
+        legs.append(
+            PoolLegPlan(
+                pool=leg.pool,
+                splitter=leg.splitter,
+                offsets=tuple(leg.offsets[i] for i in keep),
+                cells=tuple(leg.cells[i] for i in keep),
+                vertical=leg.vertical,
+                destinations=tuple(destinations),
+                cell_holders=tuple(leg.cell_holders[i] for i in keep),
+                tree=oracle_tree(system, leg.splitter, destinations),
+            )
+        )
+    if not legs:
+        return None
+    return _assemble(system, "pool-retry", plan.sink, plan.query, tuple(legs))
 
 
 def _assemble(system, tag, sink, query, legs) -> QueryPlan:
@@ -111,6 +151,14 @@ def assert_same_plan(got: QueryPlan | None, want: QueryPlan | None) -> None:
     for got_leg, want_leg in zip(got.detail, want.detail):
         for f in fields(PoolLegPlan):
             assert getattr(got_leg, f.name) == getattr(want_leg, f.name), f.name
+        assert_same_tree(got_leg.tree, want_leg.tree)
+
+
+def assert_same_tree(got: MulticastTree, want: MulticastTree) -> None:
+    """Equal trees, down to the order their nodes were grafted in."""
+    assert (got.root, got.destinations) == (want.root, want.destinations)
+    assert list(got.parents.items()) == list(want.parents.items())
+    assert list(got.depths.items()) == list(want.depths.items())
 
 
 def edges(side: int) -> list[float]:
@@ -230,7 +278,7 @@ class TestPlanIdentity:
             attempted_cells=len(plan.cells),
         )
         assert_same_plan(
-            system.plan_retry(plan, result), system.plan_retry(want, result)
+            system.plan_retry(plan, result), oracle_retry(system, want, result)
         )
 
     def test_worlds_reach_split_segments(self, topo):

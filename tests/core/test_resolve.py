@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.grid import Cell
 from repro.core.pool import PoolLayout
 from repro.core.resolve import (
+    query_ranges,
     query_ranges_for_pool,
     relevant_cells,
     relevant_offsets,
@@ -62,6 +63,39 @@ class TestTheorem32DerivedRanges:
     def test_one_dimensional_degenerate(self):
         derived = query_ranges_for_pool(RangeQuery.of((0.2, 0.6)), 0)
         assert derived.horizontal == derived.vertical == (0.2, 0.6)
+
+
+def scalar_query_ranges(query: RangeQuery, pool: int):
+    """Theorem 3.2 for one Pool with the other bounds filtered out: the oracle."""
+    lowers, uppers = query.lowers, query.uppers
+    r_h = (max(lowers), uppers[pool])
+    other_lowers = [lo for j, lo in enumerate(lowers) if j != pool]
+    other_uppers = [hi for j, hi in enumerate(uppers) if j != pool]
+    if not other_lowers:
+        return r_h, r_h
+    return r_h, (max(other_lowers), min(uppers[pool], max(other_uppers)))
+
+
+class TestQueryRangesAllPools:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+            ).map(sorted),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_matches_the_per_pool_formula(self, bounds):
+        """Tied bounds included: the runner-up stands in for the top only
+        in the Pool that owns it."""
+        query = RangeQuery(tuple(tuple(b) for b in bounds))
+        derived = query_ranges(query)
+        assert [d.pool for d in derived] == list(range(len(bounds)))
+        for d in derived:
+            assert (d.horizontal, d.vertical) == scalar_query_ranges(query, d.pool)
 
 
 class TestFigure4:

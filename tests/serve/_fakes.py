@@ -47,6 +47,7 @@ class FakeSystem:
     """
 
     dimensions = 3
+    layout_version = 0
 
     def __init__(self, outcomes=(), cost=10, depth=5):
         self.network = _Net()

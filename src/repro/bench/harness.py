@@ -1,12 +1,12 @@
 """The experiment runner.
 
 For every ``(network size, trial)`` pair the runner builds one shared
-:class:`~repro.network.deployment.Deployment` — topology, planarization
-and GPSR route cache are constructed exactly once per cell — and feeds
-the *same* events and queries to every system under test.  Each system
-runs on its own scoped :class:`~repro.network.network.Network` facade
-over that deployment, so accounting never bleeds between systems while
-the expensive routing state warms up across all of them.  Per query it
+:class:`~repro.network.deployment.Deployment` — the topology is built
+exactly once per cell, and each GPSR route and planar row at most once —
+and feeds the *same* events and queries to every system under test.
+Each system runs on its own scoped :class:`~repro.network.network.Network`
+facade over that deployment, so accounting never bleeds between systems
+while the expensive routing state warms up across all of them.  Per query it
 records the paper's metric — query-forward plus query-reply messages —
 and aggregates means over queries and trials.
 

@@ -106,14 +106,12 @@ class ContinuousQueryService:
         network = self.system.network
         before = network.stats.count(MessageCategory.QUERY_FORWARD)
         cells: set[tuple[int, int, int]] = set()
-        # The one-shot forward phase's legs: same roots, same destinations
-        # in the same order, so the subscription tree is that query's tree.
+        # The one-shot forward phase's legs, each sent down the tree its
+        # plan already grafted: the subscription tree is that query's tree.
         for leg in self.system.plan_query(sink, query).detail:
             if self.system.route_via_splitter:
                 network.unicast(MessageCategory.QUERY_FORWARD, sink, leg.splitter)
-            network.disseminate(
-                MessageCategory.QUERY_FORWARD, leg.splitter, list(leg.destinations)
-            )
+            network.send_tree(MessageCategory.QUERY_FORWARD, leg.tree)
             cells.update((leg.pool, ho, vo) for ho, vo in leg.offsets)
         cost = network.stats.count(MessageCategory.QUERY_FORWARD) - before
         subscription = Subscription(

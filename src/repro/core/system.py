@@ -217,6 +217,9 @@ class PoolSystem:
         # (placement, event, holder_node); used by the continuous-query
         # service to push notifications (see repro.core.continuous).
         self.insert_listeners: list[Callable[[Placement, Event, int], None]] = []
+        # Called by handle_failures with the key of each cell that lost
+        # events (no replica survived); result caches drop those answers.
+        self.loss_listeners: list[Callable[[tuple[int, int, int]], object]] = []
         # Replica nodes per cell key (elected lazily, re-elected on
         # failure); replicas hold a synchronous full copy of their cell.
         self._replica_nodes: dict[tuple[int, int, int], tuple[int, ...]] = {}
@@ -438,7 +441,8 @@ class PoolSystem:
         3. Reassign every segment held by a dead node to the cell's new
            index node.  If the cell has an alive replica, the segment's
            events transfer from it (``REPLICATE`` messages, batched);
-           otherwise those events are lost and reported.
+           otherwise those events are lost, reported, and each cell that
+           lost some is passed to every ``loss_listeners`` entry.
         4. Re-seed replicas for cells whose replica nodes died (full-copy
            transfer from an alive holder).
         """
@@ -506,6 +510,9 @@ class PoolSystem:
                         )
                         report.recovery_messages += messages
                         report.replicas_reseeded += 1
+        for key in dict.fromkeys(report.lossy_cells):
+            for listener in self.loss_listeners:
+                listener(key)
         return report
 
     # ------------------------------------------------------------------ #
@@ -877,6 +884,7 @@ class PoolSystem:
         keeps a reused :class:`Deployment` from notifying dead consumers.
         """
         self.insert_listeners.clear()
+        self.loss_listeners.clear()
 
     def explain(self, sink: int, query: RangeQuery) -> str:
         """A human-readable query plan — computed locally, zero messages.

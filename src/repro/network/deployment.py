@@ -1,9 +1,10 @@
 """The shared deployment layer: one topology, one router, many consumers.
 
 A :class:`Deployment` bundles the expensive per-cell artifacts of an
-experiment — the deployed :class:`~repro.network.topology.Topology`, its
-planarization and a shared :class:`~repro.routing.gpsr.GPSRRouter` whose
-route cache warms up across every consumer — behind an immutable handle.
+experiment — the deployed :class:`~repro.network.topology.Topology` and a
+shared :class:`~repro.routing.gpsr.GPSRRouter` whose route cache and
+planar rows (each built on its first read) warm up across every
+consumer — behind an immutable handle.
 The benchmark harness builds exactly one per ``(size, trial)`` cell and
 every system and workload in that cell runs against it through its own
 scoped :class:`~repro.network.network.Network` facade, so nothing is
@@ -11,8 +12,9 @@ re-derived per system and accounting never bleeds between them.
 
 Failures are copy-on-write: :meth:`fail_nodes` returns a *derived*
 deployment whose router keeps every cached path avoiding the dead nodes
-and repairs the planarization incrementally, leaving the parent
-deployment (and any facade still holding it) untouched.
+and builds the planar rows of the surviving subgraph on first read,
+leaving the parent deployment (and any facade still holding it)
+untouched.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class Deployment:
 
         The receiver is unchanged — facades that scoped off the same
         deployment keep routing over the healthy field.  The derived
-        router evicts only cached paths traversing a dead node and keeps
-        the planarization of the surviving subgraph incremental (see
+        router evicts only cached paths traversing a dead node and builds
+        the surviving subgraph's planar rows on first read (see
         :meth:`GPSRRouter.without_nodes`).
         """
         router = self.router.without_nodes(tuple(nodes))

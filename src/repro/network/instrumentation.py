@@ -1,9 +1,10 @@
 """Construction counters for the deployment layer.
 
-The benchmark harness promises that the expensive per-cell artifacts —
-the deployed topology and its planarization — are built exactly once per
-``(size, trial)`` cell no matter how many systems and workloads run on
-the shared :class:`~repro.network.deployment.Deployment`.  These
+The benchmark harness promises that the expensive per-cell artifacts are
+shared: the deployed topology is built exactly once per ``(size, trial)``
+cell, and each of its planar rows at most once, no matter how many
+systems and workloads run on the shared
+:class:`~repro.network.deployment.Deployment`.  These
 process-wide counters make that promise testable: the builders tick them,
 and the test suite resets and reads them around a run.
 
@@ -26,23 +27,19 @@ class ConstructionCounters:
     topology_deployments:
         Calls to :func:`~repro.network.topology.deploy_uniform` (one per
         experiment cell; ``Topology.without`` derivations do not count).
-    planarizations:
-        Full planar-subgraph constructions
-        (:func:`~repro.routing.planarization.planarize`).
-    planar_updates:
-        Incremental planarization repairs after node failures
-        (:func:`~repro.routing.planarization.update_after_failures`).
+    planar_rows:
+        Planar adjacency rows computed
+        (:func:`~repro.routing.planarization.planar_row`); a router
+        computes each of its rows at most once, on its first read.
     """
 
     topology_deployments: int = 0
-    planarizations: int = 0
-    planar_updates: int = 0
+    planar_rows: int = 0
 
     def reset(self) -> None:
         """Zero every counter (start of an instrumented test)."""
         self.topology_deployments = 0
-        self.planarizations = 0
-        self.planar_updates = 0
+        self.planar_rows = 0
 
 
 #: The process-wide counter instance the builders tick.

@@ -168,9 +168,9 @@ class Network:
 
         The facade swaps to a *derived* deployment: cached GPSR paths
         through the dead nodes are evicted (survivor-to-survivor paths
-        stay warm), the planarization of the surviving subgraph is
-        repaired incrementally, and sibling facades sharing the original
-        deployment are untouched.  The message ledger and energy model
+        stay warm), the surviving subgraph's planar rows are built on
+        first read, and sibling facades sharing the original deployment
+        are untouched.  The message ledger and energy model
         survive; subsequent traffic routes around the failures (GPSR's
         perimeter mode handles the holes).  Storage systems holding this
         facade should call their own failure handler afterwards to

@@ -33,11 +33,7 @@ from repro.geometry import (
     segment_intersection_point,
 )
 from repro.network.topology import Topology
-from repro.routing.planarization import (
-    PlanarizationKind,
-    planarize,
-    update_after_failures,
-)
+from repro.routing.planarization import PlanarizationKind, planar_row
 
 __all__ = ["GPSRRouter", "PacketState", "RouteResult", "StepOutcome"]
 
@@ -149,7 +145,9 @@ class GPSRRouter:
         self.planarization_kind = planarization
         self.ttl_factor = ttl_factor
         self.ttl = ttl_factor * topology.size + 16
-        self._planar: list[tuple[int, ...]] | None = None
+        # Planar rows by node, each computed on its first read (None
+        # until then): only nodes a perimeter walk visits need one.
+        self._planar: list[tuple[int, ...] | None] = [None] * topology.size
         self._path_cache: dict[tuple[int, int], list[int]] = {}
         # Per-hop forwarding modes of each cached path, filled alongside
         # it; consulted by the flight recorder via hop_modes().
@@ -164,11 +162,18 @@ class GPSRRouter:
     # ------------------------------------------------------------------ #
 
     @property
-    def planar_adjacency(self) -> list[tuple[int, ...]]:
-        """Planarized neighbor lists (built lazily on first perimeter use)."""
-        if self._planar is None:
-            self._planar = planarize(self.topology, self.planarization_kind)
+    def planar_adjacency(self) -> list[tuple[int, ...] | None]:
+        """The planar rows read so far (``None``: not yet); builds nothing."""
         return self._planar
+
+    def planar_neighbors(self, node: int) -> tuple[int, ...]:
+        """``node``'s planar row, computed on its first read."""
+        row = self._planar[node]
+        if row is None:
+            row = self._planar[node] = planar_row(
+                self.topology, node, self.planarization_kind
+            )
+        return row
 
     @property
     def cached_paths(self) -> int:
@@ -179,18 +184,15 @@ class GPSRRouter:
         """A router over the topology with ``failed`` nodes removed.
 
         This is the cheap failure path: instead of discarding all routing
-        state, the derived router
+        state, the derived router keeps every cached path that does not
+        traverse a failed node (paths between survivors stay valid — the
+        forwarding decisions that produced them never consulted the dead
+        nodes).
 
-        * keeps every cached path that does not traverse a failed node
-          (paths between survivors stay valid — the forwarding decisions
-          that produced them never consulted the dead nodes), and
-        * repairs the planarization incrementally via
-          :func:`repro.routing.planarization.update_after_failures`
-          rather than re-planarizing the whole field, when the planar
-          adjacency had already been built.
-
-        The greedy memo starts empty: neighbor tables change, so a
-        memoized next hop may be dead or no longer the closest neighbor.
+        The greedy memo and the planar rows start empty: neighbor tables
+        change, so a memoized next hop may be dead or no longer the
+        closest neighbor, and a failed witness may restore an edge.  A
+        row computed on the degraded topology is that topology's row.
         The receiver is left untouched, so deployments sharing it are
         unaffected (copy-on-write failure semantics).
         """
@@ -210,10 +212,6 @@ class GPSRRouter:
             for key in clone._path_cache
             if key in self._mode_cache
         }
-        if self._planar is not None:
-            clone._planar = update_after_failures(
-                self._planar, clone.topology, failed_set, self.planarization_kind
-            )
         return clone
 
     def path(self, src: int, dst: int) -> list[int]:
@@ -425,7 +423,7 @@ class GPSRRouter:
         # advance Lf to the crossing and take the next edge ccw instead.
         assert state.face_point is not None
         tx, ty = state.dest
-        for _ in range(len(self.planar_adjacency[current]) + 1):
+        for _ in range(len(self.planar_neighbors(current)) + 1):
             crossing = segment_intersection_point(
                 here, coords[nxt], state.face_point, state.dest
             )
@@ -451,7 +449,7 @@ class GPSRRouter:
         reference points along is considered last — this is what makes a
         degree-one node bounce the packet straight back, as GPSR requires.
         """
-        neighbors = self.planar_adjacency[current]
+        neighbors = self.planar_neighbors(current)
         if not neighbors:
             return None
         coords = self.topology.coords

@@ -12,173 +12,123 @@ paper are provided:
 Both constructions famously preserve connectivity of the unit-disk graph,
 which the test suite verifies on random deployments.
 
-Node failures never *remove* a kept edge (witnesses only disappear), so
-:func:`update_after_failures` repairs an existing planarization instead
-of rebuilding it: only edges whose endpoints both sit within radio range
-of a failed node can change status, because any witness of an edge lies
-inside the edge's disk/lune and hence within one radio range of both
-endpoints.
+Whether an edge is kept depends only on the alive nodes near it, so a
+node's planar row can be computed on its own (:func:`planar_row`).
+GPSR computes a row the first time a perimeter walk reads it; most
+nodes never need theirs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Literal
 
 from repro.exceptions import ConfigurationError
-from repro.geometry import distance_sq, midpoint
+from repro.geometry import distance_sq
 from repro.network.instrumentation import CONSTRUCTION_COUNTERS
 from repro.network.topology import Topology
 
 __all__ = [
     "gabriel_graph",
     "rng_graph",
+    "planar_row",
     "planarize",
-    "update_after_failures",
     "PlanarizationKind",
 ]
 
 PlanarizationKind = Literal["gabriel", "rng", "none"]
 
 
-def _gabriel_keeps(topology: Topology, u: int, v: int) -> bool:
+def _gabriel_keeps(
+    coords: list[tuple[float, float]], u: int, v: int, nearby: list[int]
+) -> bool:
     """Whether edge ``(u, v)`` survives Gabriel planarization.
 
-    The edge survives iff no other alive node lies strictly inside the
-    circle having ``uv`` as diameter.  Witness candidates are found with a
-    KD-tree ball query around the edge midpoint, so one test costs
-    ``O(witnesses)`` instead of ``O(N)``.
+    The edge survives iff no other alive node of ``nearby`` lies strictly
+    inside the circle having ``uv`` as diameter.  The float steps are
+    :func:`~repro.geometry.midpoint`'s and
+    :func:`~repro.geometry.distance_sq`'s, inlined: a row makes about
+    degree² of these tests.
     """
-    coords = topology.coords
-    pu, pv = coords[u], coords[v]
-    mid = midpoint(pu, pv)
-    radius_sq = distance_sq(pu, pv) / 4.0
-    # query_ball_point uses closed balls; shrink epsilon handled by the
-    # strict comparison below.
-    tree = topology._tree  # shared KD-tree; read-only use
-    for w in tree.query_ball_point(list(mid), radius_sq**0.5 + 1e-9):
-        if w == u or w == v or not topology.is_alive(int(w)):
-            continue
-        if distance_sq(coords[w], mid) < radius_sq - 1e-12:
+    ux, uy = coords[u]
+    vx, vy = coords[v]
+    mx = (ux + vx) / 2.0
+    my = (uy + vy) / 2.0
+    dx = ux - vx
+    dy = uy - vy
+    limit = (dx * dx + dy * dy) / 4.0 - 1e-12
+    for w in nearby:
+        wx, wy = coords[w]
+        dx = wx - mx
+        dy = wy - my
+        if dx * dx + dy * dy < limit and w != u and w != v:
             return False
     return True
 
 
-def _rng_keeps(topology: Topology, u: int, v: int) -> bool:
+def _rng_keeps(
+    coords: list[tuple[float, float]], u: int, v: int, nearby: list[int]
+) -> bool:
     """Whether edge ``(u, v)`` survives RNG planarization.
 
-    The edge survives iff there is no alive witness ``w`` closer to both
-    endpoints than they are to each other (the "lune" is empty).
+    The edge survives iff no alive witness ``w`` of ``nearby`` is closer
+    to both endpoints than they are to each other (the "lune" is empty).
     """
-    coords = topology.coords
     pu, pv = coords[u], coords[v]
-    d_uv_sq = distance_sq(pu, pv)
-    # Any lune witness lies within d(u, v) of u.
-    tree = topology._tree
-    for w in tree.query_ball_point(list(pu), d_uv_sq**0.5 + 1e-9):
-        if w == u or w == v or not topology.is_alive(int(w)):
+    limit = distance_sq(pu, pv) - 1e-12
+    for w in nearby:
+        if w == u or w == v:
             continue
         pw = coords[w]
-        if (
-            distance_sq(pu, pw) < d_uv_sq - 1e-12
-            and distance_sq(pv, pw) < d_uv_sq - 1e-12
-        ):
+        if distance_sq(pu, pw) < limit and distance_sq(pv, pw) < limit:
             return False
     return True
 
 
-def _edge_keeps(topology: Topology, u: int, v: int, kind: PlanarizationKind) -> bool:
-    if kind == "gabriel":
-        return _gabriel_keeps(topology, u, v)
-    if kind == "rng":
-        return _rng_keeps(topology, u, v)
+def planar_row(
+    topology: Topology, u: int, kind: PlanarizationKind = "gabriel"
+) -> tuple[int, ...]:
+    """``u``'s kept neighbours in the ``kind`` planarization, sorted.
+
+    Each edge is tested in canonical ``(min, max)`` order, so both ends
+    of an edge make the same float decision and rows computed one at a
+    time agree with each other.  Every witness of an edge ``(u, v)`` is
+    closer to ``u`` than ``v`` is, so one KD-tree ball of the radio
+    range (plus a slack far above float rounding) around ``u`` holds
+    the candidates of every edge in the row.  ``"none"`` keeps every
+    radio neighbour.
+    """
+    if kind not in ("gabriel", "rng", "none"):
+        raise ConfigurationError(f"unknown planarization {kind!r}")
+    CONSTRUCTION_COUNTERS.planar_rows += 1
+    neighbors = topology.neighbors(u)
     if kind == "none":
-        return True
-    raise ConfigurationError(f"unknown planarization {kind!r}")
-
-
-def gabriel_graph(topology: Topology) -> list[tuple[int, ...]]:
-    """Gabriel subgraph of the radio graph, as per-node adjacency tuples."""
-    return _build(topology, "gabriel")
-
-
-def rng_graph(topology: Topology) -> list[tuple[int, ...]]:
-    """Relative-neighborhood subgraph of the radio graph."""
-    return _build(topology, "rng")
-
-
-def _build(topology: Topology, kind: PlanarizationKind) -> list[tuple[int, ...]]:
-    kept: list[list[int]] = [[] for _ in range(topology.size)]
-    for u in range(topology.size):
-        for v in topology.neighbors(u):
-            if v <= u:
-                continue
-            if _edge_keeps(topology, u, v, kind):
-                kept[u].append(v)
-                kept[v].append(u)
-    return [tuple(sorted(adj)) for adj in kept]
+        return neighbors
+    coords = topology.coords
+    is_alive = topology.is_alive
+    ball = topology._tree.query_ball_point(coords[u], topology.radio_range + 1e-9)
+    nearby = [w for w in ball if is_alive(w)]
+    keeps = _gabriel_keeps if kind == "gabriel" else _rng_keeps
+    return tuple(
+        v for v in neighbors if keeps(coords, min(u, v), max(u, v), nearby)
+    )
 
 
 def planarize(
     topology: Topology, kind: PlanarizationKind = "gabriel"
 ) -> list[tuple[int, ...]]:
-    """Planarized adjacency of ``topology`` by name.
+    """Every row of the ``kind`` planarization of ``topology``.
 
-    ``"none"`` returns the full radio adjacency — useful for measuring how
-    often perimeter mode would need planarity at all.
+    Routing builds rows one at a time (:func:`planar_row`); this whole
+    build is the reference they are compared against.
     """
-    if kind not in ("gabriel", "rng", "none"):
-        raise ConfigurationError(f"unknown planarization {kind!r}")
-    CONSTRUCTION_COUNTERS.planarizations += 1
-    if kind == "none":
-        return list(topology.neighbor_table)
-    return _build(topology, kind)
+    return [planar_row(topology, u, kind) for u in range(topology.size)]
 
 
-def update_after_failures(
-    old_adjacency: list[tuple[int, ...]],
-    new_topology: Topology,
-    failed: Iterable[int],
-    kind: PlanarizationKind = "gabriel",
-) -> list[tuple[int, ...]]:
-    """Repair a planarization after ``failed`` nodes left the radio graph.
+def gabriel_graph(topology: Topology) -> list[tuple[int, ...]]:
+    """Gabriel subgraph of the radio graph, as per-node adjacency tuples."""
+    return planarize(topology, "gabriel")
 
-    ``old_adjacency`` is the planar adjacency of the topology *before* the
-    failure; ``new_topology`` is the degraded topology (same node ids,
-    ``failed`` excluded).  Returns adjacency identical to a full
-    ``planarize(new_topology, kind)`` but touching only the affected
-    neighborhood:
 
-    * rows of failed nodes empty out, and failed ids leave every row;
-    * kept edges between survivors stay kept (a failure only removes
-      witnesses, never adds them);
-    * previously blocked edges can resurface only when a failed node was
-      their witness — and every witness of an edge lies within one radio
-      range of *both* endpoints, so only nodes within radio range of a
-      failed node need their rows re-derived.
-    """
-    failed_set = frozenset(int(n) for n in failed)
-    if kind == "none":
-        return list(new_topology.neighbor_table)
-    CONSTRUCTION_COUNTERS.planar_updates += 1
-    coords = new_topology.coords
-    affected: set[int] = set()
-    for w in sorted(failed_set):
-        affected.update(new_topology.nodes_within(coords[w], new_topology.radio_range))
-    rows: list[tuple[int, ...]] = [
-        ()
-        if not new_topology.is_alive(u)
-        else tuple(v for v in old_adjacency[u] if v not in failed_set)
-        for u in range(new_topology.size)
-    ]
-    recomputed: dict[int, tuple[int, ...]] = {}
-    for u in sorted(affected):
-        recomputed[u] = tuple(
-            sorted(
-                v
-                for v in new_topology.neighbors(u)
-                if _edge_keeps(new_topology, u, v, kind)
-            )
-        )
-    for u, row in recomputed.items():
-        rows[u] = row
-    return rows
+def rng_graph(topology: Topology) -> list[tuple[int, ...]]:
+    """Relative-neighborhood subgraph of the radio graph."""
+    return planarize(topology, "rng")

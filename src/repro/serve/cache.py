@@ -21,8 +21,11 @@ while the system's version still matches, skipping ``plan_query``
 messages a fresh plan would.  Kept plans wait in an insertion-ordered
 table of at most :data:`KEPT_PLANS` entries; the oldest goes first.
 
-The cache hooks a system's ``insert_listeners``; detach with
-:meth:`PlanResultCache.detach` (or the system's ``close()``).
+The cache hooks a system's ``insert_listeners`` and, where the system
+can lose stored events (Pool's ``handle_failures``), its
+``loss_listeners``: a cell that lost events invalidates like an insert
+into it.  Detach with :meth:`PlanResultCache.detach` (or the system's
+``close()``).
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ class PlanResultCache:
         # Inverted index: native cell -> keys of live entries whose plan
         # resolved that cell, in insertion order (a dict as an ordered set).
         self._by_cell: dict[Hashable, dict[CacheKey, None]] = {}
-        self._attached: list[tuple[Any, Any]] = []
+        # (listener list, listener) pairs hooked by attach().
+        self._attached: list[tuple[list[Any], Any]] = []
         self.keep_stale = keep_stale
         self._stale: dict[CacheKey, CacheEntry] = {}
         self.hits = 0
@@ -247,19 +251,23 @@ class PlanResultCache:
     # ------------------------------------------------------------------ #
 
     def attach(self, system: Any) -> None:
-        """Hook the system's insert listeners for automatic invalidation."""
+        """Hook the system's insert (and loss) listeners for invalidation."""
 
         def _on_insert(cell: Any, event: Any, holder: int) -> None:
             self.invalidate_cell(cell)
 
         system.insert_listeners.append(_on_insert)
-        self._attached.append((system, _on_insert))
+        self._attached.append((system.insert_listeners, _on_insert))
+        losses = getattr(system, "loss_listeners", None)
+        if losses is not None:
+            losses.append(self.invalidate_cell)
+            self._attached.append((losses, self.invalidate_cell))
 
     def detach(self) -> None:
         """Unhook every listener registered by :meth:`attach`.  Idempotent."""
-        for system, listener in self._attached:
+        for listeners, listener in self._attached:
             try:
-                system.insert_listeners.remove(listener)
+                listeners.remove(listener)
             except ValueError:
                 pass  # the system already tore its listener list down
         self._attached.clear()

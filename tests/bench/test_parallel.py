@@ -8,6 +8,8 @@ systems must not change what any system measures.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from repro.bench.harness import run_experiment
 from repro.bench.workloads import ExperimentConfig
 from repro.core.system import PoolSystem
@@ -17,6 +19,8 @@ from repro.network.deployment import Deployment
 from repro.network.instrumentation import CONSTRUCTION_COUNTERS
 from repro.network.network import Network
 from repro.rng import derive
+from repro.routing import gpsr
+from repro.routing.planarization import planar_row
 
 
 def _small_config(**overrides) -> ExperimentConfig:
@@ -106,15 +110,26 @@ class TestSharedDeploymentEquivalence:
 
 class TestConstructionCounters:
     def test_one_deployment_per_cell(self):
-        """Topology + planarization built exactly once per (size, trial)."""
+        """One topology per (size, trial); no planar row built twice."""
         CONSTRUCTION_COUNTERS.reset()
-        config = _small_config()
-        run_experiment(config, seed=2, jobs=1)
+        # Sparse enough that perimeter walks read some planar rows.
+        config = _small_config(target_degree=12.0)
+        # Each computed row with its topology (held, so ids stay unique).
+        computed: list[tuple[object, int]] = []
+
+        def recording_row(topology, u, kind):
+            computed.append((topology, u))
+            return planar_row(topology, u, kind)
+
+        with mock.patch.object(gpsr, "planar_row", recording_row):
+            run_experiment(config, seed=2, jobs=1)
         cells = len(config.network_sizes) * config.trials
         assert CONSTRUCTION_COUNTERS.topology_deployments == cells
-        # Planarization is lazy (perimeter mode may never fire) but can
-        # never be built more than once per cell.
-        assert CONSTRUCTION_COUNTERS.planarizations <= cells
+        # Planar rows are built on first read (perimeter mode may never
+        # fire), each at most once per cell.
+        assert 0 < CONSTRUCTION_COUNTERS.planar_rows == len(computed)
+        keys = [(id(topology), u) for topology, u in computed]
+        assert len(keys) == len(set(keys))
 
 
 class TestLossyDeterminism:

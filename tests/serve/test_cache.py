@@ -448,14 +448,31 @@ class TestPlanReuseProperty:
                         - failed
                     )
                     if holders and len(failed) < 2:
-                        report = system.handle_failures([holders[arg % len(holders)]])
-                        # Lost events reach no insert listener: drop the
-                        # results of the cells that lost some, as an insert
-                        # into them would.
-                        for key in report.lossy_cells:
-                            cache.invalidate_cell(key)
+                        system.handle_failures([holders[arg % len(holders)]])
                         topology_alive = system.network.topology.is_alive
                 _serve_and_check(system, cache, service, calls, t, _QUERIES[query])
+        system.close()
+
+    def test_a_failure_that_loses_events_invalidates_their_cell(self):
+        """Events lost with their holder are not served from the cache."""
+        system = PoolSystem(Network(_topo()), 3, seed=1, side_length=5)
+        cache = PlanResultCache()
+        query = _QUERIES[3]
+        with QueryService(system, cache=cache) as service:
+            receipts = [
+                system.insert(Event(values), source=source + 1)
+                for source, values in enumerate([(0, 0, 0), (0, 0, 0), (0, 0, 0.75)])
+            ]
+            service.run(make_schedule([make_request(0, 0.0, _SINK, query)]))
+            entry = cache.lookup(_SINK, query)
+            assert [e.values for e in entry.result.events] == [(0.0, 0.0, 0.75)]
+            # The holder of (0, 0, 0.75) has no replica: its event is lost.
+            report = system.handle_failures([receipts[-1].home_node])
+            assert report.events_lost == 1 and len(report.lossy_cells) == 1
+            assert (_SINK, query) not in cache
+            served = service.run(make_schedule([make_request(1, 1.0, _SINK, query)]))
+            assert served.served[0].outcome != OUTCOME_CACHE
+            assert cache.lookup(_SINK, query).result.events == []
         system.close()
 
     def test_first_insert_into_an_empty_cell_keeps_the_plan(self):

@@ -41,23 +41,26 @@ class Placement:
         return f"Placement(P{self.pool + 1}, HO={self.ho}, VO={self.vo})"
 
 
-def placement_for(event: Event, side_length: int) -> Placement:
+def placement_for(event: Event, side_length: int, order: tuple[int, ...] = ()) -> Placement:
     """The canonical placement of ``event`` (Theorem 3.1).
 
     Ties for the greatest value resolve to the lowest dimension index; use
     :func:`candidate_placements` when the §4.1 closest-candidate rule
-    should apply.
+    should apply.  ``order`` is ``event.dimension_order()`` if the caller
+    has it.
     """
     if side_length < 1:
         raise ConfigurationError(f"side_length must be >= 1, got {side_length}")
-    v_d1 = event.greatest_value
-    v_d2 = event.second_greatest_value
-    ho = ho_for_value(v_d1, side_length)
-    vo = vo_for_value(v_d2, ho, side_length)
-    return Placement(pool=event.d1, ho=ho, vo=vo)
+    order = order or event.dimension_order()
+    d1 = order[0]
+    ho = ho_for_value(event.values[d1], side_length)
+    vo = vo_for_value(event.values[order[1 if len(order) > 1 else 0]], ho, side_length)
+    return Placement(pool=d1, ho=ho, vo=vo)
 
 
-def candidate_placements(event: Event, side_length: int) -> list[Placement]:
+def candidate_placements(
+    event: Event, side_length: int, order: tuple[int, ...] = ()
+) -> list[Placement]:
     """Every legal placement of ``event`` (Section 4.1).
 
     With a unique greatest value this is the singleton ``[placement_for]``.
@@ -70,8 +73,8 @@ def candidate_placements(event: Event, side_length: int) -> list[Placement]:
         raise ConfigurationError(f"side_length must be >= 1, got {side_length}")
     tied = event.greatest_dimensions()
     if len(tied) == 1:
-        return [placement_for(event, side_length)]
-    top = event.greatest_value
+        return [placement_for(event, side_length, order)]
+    top = event.values[tied[0]]
     ho = ho_for_value(top, side_length)
     # In each tied pool the second-greatest value is the tied maximum
     # itself (it appears in at least one other dimension).

@@ -301,7 +301,8 @@ class PoolSystem:
         if event.dimensions != self.dimensions:
             raise DimensionMismatchError(self.dimensions, event.dimensions)
         src = source if source is not None else event.source
-        placement = self._choose_placement(event, src)
+        order = event.dimension_order()
+        placement = self._choose_placement(event, src, order)
         cell = self.pools[placement.pool].cell_at(placement.ho, placement.vo)
         primary = self.index_node(cell)
         if src is None:
@@ -318,7 +319,7 @@ class PoolSystem:
             )
         hops = len(path) - 1
         store = self._store_for(placement)
-        v_key = min(event.second_greatest_value, store.v_range[1])
+        v_key = min(event.values[order[1 if len(order) > 1 else 0]], store.v_range[1])
         segment = store.segment_for(v_key)
         if segment.node != primary:
             # Delegated sub-range: the index node forwards one more leg.
@@ -343,9 +344,11 @@ class PoolSystem:
             listener(placement, event, segment.node)
         return InsertReceipt(home_node=segment.node, hops=hops, detail=placement)
 
-    def _choose_placement(self, event: Event, src: int | None) -> Placement:
+    def _choose_placement(
+        self, event: Event, src: int | None, order: tuple[int, ...]
+    ) -> Placement:
         """§4.1: among tied candidates, pick the cell closest to the source."""
-        candidates = candidate_placements(event, self.side_length)
+        candidates = candidate_placements(event, self.side_length, order)
         if len(candidates) == 1 or src is None:
             return candidates[0]
         src_pos = self.network.position(src)

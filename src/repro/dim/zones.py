@@ -226,12 +226,13 @@ class ZoneTree:
         if len(values) != self.dimensions:
             raise DimensionMismatchError(self.dimensions, len(values), "event")
         zone = self.root
-        while not zone.is_leaf:
-            dim = zone.depth % self.dimensions
+        depth = 0
+        while zone.low is not None:
+            dim = depth % self.dimensions
             lo, hi = zone.value_box[dim]
-            mid = (lo + hi) / 2.0
-            assert zone.low is not None and zone.high is not None
-            zone = zone.high if values[dim] >= mid else zone.low
+            assert zone.high is not None
+            zone = zone.high if values[dim] >= (lo + hi) / 2.0 else zone.low
+            depth += 1
         return zone
 
     def leaf_by_code(self, code: str) -> Zone:

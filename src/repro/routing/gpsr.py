@@ -94,12 +94,11 @@ class RouteResult:
 class PacketState:
     """The GPSR packet-header fields that drive forwarding decisions.
 
-    Apart from ``greedy_memo`` this *is* the wire header of a GPSR packet
-    (mode, destination, ``Lp``, ``Lf``, traversed-edge memory, perimeter
-    hop count): together with the current and previous node it is
-    everything a forwarding decision reads.  ``greedy_memo`` is the
-    router's memo of greedy next hops toward this destination, looked up
-    once per packet by :meth:`GPSRRouter.start_packet`.
+    This *is* the wire header of a GPSR packet (mode, destination,
+    ``Lp``, ``Lf``, traversed-edge memory, perimeter hop count): together
+    with the current and previous node it is everything a forwarding
+    decision reads.  :meth:`GPSRRouter.route` creates one at a packet's
+    first greedy dead end; a greedy-only walk never needs one.
     """
 
     dest: Point
@@ -108,11 +107,9 @@ class PacketState:
     face_point: Point | None = None  # Lf: where the packet entered this face
     traversed: set[tuple[int, int]] = field(default_factory=set)
     perimeter_hops: int = 0
-    #: Mode of each hop taken so far (appended by ``forward_one`` on a
-    #: "hop" outcome).
+    #: Mode of each hop taken so far: ``route`` pads the greedy hops in
+    #: before each perimeter step, and ``forward_one`` appends its own.
     modes: list[str] = field(default_factory=list)
-    #: Greedy next hop (``None`` = dead end) per node, toward ``dest``.
-    greedy_memo: dict[int, int | None] = field(default_factory=dict)
 
 
 class GPSRRouter:
@@ -259,41 +256,24 @@ class GPSRRouter:
         target = self.topology.closest_node(point)
         return self.path(src, target)
 
-    def start_packet(self, dst: int) -> PacketState:
-        """A fresh packet header addressed to node ``dst``.
-
-        Carries this router's greedy memo for ``dst``, so the per-hop
-        memo lookup is keyed by the current node alone.
-        """
-        memo = self._greedy_memo.get(dst)
-        if memo is None:
-            if len(self._greedy_memo) >= MEMO_DESTINATIONS:
-                del self._greedy_memo[next(iter(self._greedy_memo))]
-            memo = self._greedy_memo[dst] = {}
-        return PacketState(dest=Point(*self.topology.coords[dst]), greedy_memo=memo)
-
     def forward_one(
         self, current: int, previous: int | None, state: PacketState
     ) -> tuple[StepOutcome, int | None]:
-        """One forwarding decision of the GPSR loop.
+        """One perimeter-mode decision; :meth:`route` takes greedy hops.
 
-        Uses only ``current``'s neighbor table and the packet header, so
-        any router whose view holds ``current``'s neighbors (and their
-        planarization witnesses) decides the same.  :meth:`route` calls
-        it once per TTL slot, ``"stay"`` included.  Greedy decisions go
-        through the packet's memo; perimeter decisions read the whole
-        header and are never memoized.
+        Called once per TTL slot at a greedy dead end (``state.mode``
+        still greedy) and along a perimeter walk.  It reads only
+        ``current``'s planar row and the packet header, so any router
+        whose view holds ``current``'s neighbors (and their planarization
+        witnesses) decides the same.
         """
         if state.mode == _GREEDY:
-            memo = state.greedy_memo
-            nxt = memo.get(current, -1)
-            if nxt == -1:
-                nxt = memo[current] = self._greedy_next(current, state.dest)
-            if nxt is None:
-                self._enter_perimeter(state, current)
-                nxt = self._perimeter_first_edge(current, state)
-                if nxt is None:
-                    return "drop", None
+            # Enter perimeter mode (Lp = Lf = here) on the first edge
+            # counterclockwise about ``current`` from the line to dest.
+            here = Point(*self.topology.coords[current])
+            state.mode = _PERIMETER
+            state.entry = state.face_point = here
+            nxt = self._rhr_neighbor(current, angle_of(here, state.dest))
         else:
             x, y = self.topology.coords[current]
             tx, ty = state.dest
@@ -308,52 +288,92 @@ class GPSRRouter:
                 return "stay", None
             assert previous is not None
             nxt = self._perimeter_next(current, previous, state)
-            if nxt is None:
-                return "drop", None
-        if state.mode == _PERIMETER:
-            edge = (current, nxt)
-            if edge in state.traversed:
-                # Completed a full face walk without progress: the
-                # destination is unreachable from here.
-                return "drop", None
-            state.traversed.add(edge)
-            state.perimeter_hops += 1
-        state.modes.append(state.mode)
+        if nxt is None:
+            return "drop", None
+        edge = (current, nxt)
+        if edge in state.traversed:
+            # Completed a full face walk without progress: the
+            # destination is unreachable from here.
+            return "drop", None
+        state.traversed.add(edge)
+        state.perimeter_hops += 1
+        state.modes.append(_PERIMETER)
         return "hop", nxt
 
     def route(self, src: int, dst: int) -> RouteResult:
-        """Run the GPSR forwarding loop from ``src`` to node ``dst``."""
+        """Run the GPSR forwarding loop from ``src`` to node ``dst``.
+
+        A greedy hop is a probe of the destination's next-hop memo or, on
+        a miss, the neighbor scan inlined over plain-float coordinates
+        (it dominates the write path; the strict ``<`` keeps the first
+        best neighbor in table order).  The first dead end creates the
+        packet header and each perimeter slot calls :meth:`forward_one`.
+        """
         self._validate_node(src)
         self._validate_node(dst)
         if src == dst:
             return RouteResult([src], delivered=True)
-        state = self.start_packet(dst)
+        memos = self._greedy_memo
+        memo = memos.get(dst)
+        if memo is None:
+            if len(memos) >= MEMO_DESTINATIONS:
+                del memos[next(iter(memos))]
+            memo = memos[dst] = {}
+        probe = memo.get
+        coords = self.topology.coords
+        table = self.topology.neighbor_table
+        tx, ty = coords[dst]
         path = [src]
         current = src
-        previous: int | None = None
+        state: PacketState | None = None
         for _ in range(self.ttl):
             if current == dst:
-                return RouteResult(
-                    path,
-                    delivered=True,
-                    perimeter_hops=state.perimeter_hops,
-                    modes=tuple(state.modes),
-                )
-            outcome, nxt = self.forward_one(current, previous, state)
-            if outcome == "stay":
-                continue
+                break
+            if state is None or state.mode == _GREEDY:
+                nxt = probe(current, -1)
+                if nxt == -1:
+                    x, y = coords[current]
+                    dx = x - tx
+                    dy = y - ty
+                    best_d = dx * dx + dy * dy
+                    nxt = None
+                    for neighbor in table[current]:
+                        x, y = coords[neighbor]
+                        dx = x - tx
+                        dy = y - ty
+                        d = dx * dx + dy * dy
+                        if d < best_d:
+                            nxt = neighbor
+                            best_d = d
+                    memo[current] = nxt
+                if nxt is not None:
+                    current = nxt
+                    path.append(nxt)
+                    continue
+                if state is None:
+                    state = PacketState(dest=Point(tx, ty))
+            state.modes += [_GREEDY] * (len(path) - 1 - len(state.modes))
+            outcome, nxt = self.forward_one(
+                current, path[-2] if len(path) > 1 else None, state
+            )
             if outcome == "drop":
-                return RouteResult(
-                    path,
-                    delivered=False,
-                    perimeter_hops=state.perimeter_hops,
-                    modes=tuple(state.modes),
-                )
-            assert nxt is not None
-            previous, current = current, nxt
-            path.append(current)
-        raise DeliveryError(
-            f"TTL ({self.ttl}) exceeded routing {src} -> {dst}", path
+                break
+            if outcome == "hop":
+                assert nxt is not None
+                current = nxt
+                path.append(nxt)
+        else:
+            raise DeliveryError(
+                f"TTL ({self.ttl}) exceeded routing {src} -> {dst}", path
+            )
+        if state is None:
+            return RouteResult(path, delivered=True, modes=(_GREEDY,) * (len(path) - 1))
+        state.modes += [_GREEDY] * (len(path) - 1 - len(state.modes))
+        return RouteResult(
+            path,
+            delivered=current == dst,
+            perimeter_hops=state.perimeter_hops,
+            modes=tuple(state.modes),
         )
 
     def greedy_success_ratio(self, samples: list[tuple[int, int]]) -> float:
@@ -372,42 +392,6 @@ class GPSRRouter:
     # ------------------------------------------------------------------ #
     # Forwarding rules                                                   #
     # ------------------------------------------------------------------ #
-
-    def _greedy_next(self, current: int, dest: Point) -> int | None:
-        """Neighbor strictly closer to ``dest``, or ``None`` on dead end.
-
-        The distance test is inlined over plain-float coordinates: this
-        scan runs once per greedy hop and dominates the write path.  The
-        strict ``<`` keeps the first best neighbor in table order.
-        """
-        coords = self.topology.coords
-        tx, ty = dest
-        x, y = coords[current]
-        dx = x - tx
-        dy = y - ty
-        best_d = dx * dx + dy * dy
-        best: int | None = None
-        for neighbor in self.topology.neighbor_table[current]:
-            x, y = coords[neighbor]
-            dx = x - tx
-            dy = y - ty
-            d = dx * dx + dy * dy
-            if d < best_d:
-                best = neighbor
-                best_d = d
-        return best
-
-    def _enter_perimeter(self, state: PacketState, current: int) -> None:
-        here = Point(*self.topology.coords[current])
-        state.mode = _PERIMETER
-        state.entry = here
-        state.face_point = here
-        state.traversed.clear()
-
-    def _perimeter_first_edge(self, current: int, state: PacketState) -> int | None:
-        """First edge counterclockwise about ``current`` from line to dest."""
-        reference = angle_of(self.topology.coords[current], state.dest)
-        return self._rhr_neighbor(current, reference)
 
     def _perimeter_next(
         self, current: int, previous: int, state: PacketState

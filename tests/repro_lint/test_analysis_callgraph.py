@@ -152,10 +152,10 @@ class TestRealTree:
         assert len(plan_impls) == 6
 
     def test_gpsr_route_reaches_forwarding_rules(self, graph) -> None:
-        # The GPSR loop hands each TTL slot to forward_one, whose greedy
-        # branch falls through to the neighbor scan on a memo miss.
+        # The GPSR loop takes greedy hops inline and hands perimeter
+        # slots to forward_one, which walks faces by the right-hand rule.
         entry = "repro.routing.gpsr.GPSRRouter.route"
         assert entry in graph.functions
         reached = graph.reachable_from([entry], weak=True)
         assert "repro.routing.gpsr.GPSRRouter.forward_one" in reached
-        assert "repro.routing.gpsr.GPSRRouter._greedy_next" in reached
+        assert "repro.routing.gpsr.GPSRRouter._rhr_neighbor" in reached

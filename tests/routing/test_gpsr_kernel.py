@@ -1,14 +1,17 @@
 """Differential test: GPSR forwarding against a frozen numpy-row reference.
 
 The router's forwarding decisions and the planarization witness tests
-read ``Topology.coords`` (plain Python floats).  The oracle below is a
-frozen copy of the earlier implementation, which indexed rows of the
-numpy ``positions`` array and compared ``np.float64`` distances.  Both
-must take the same hop at every step: equal paths, per-hop modes,
-perimeter hop counts and delivery flags from ``route()``, and equal
-planar rows (the router's built one at a time on first read), over random, sparse (perimeter-heavy), grid (exact
-distance ties) and failure-degraded topologies, under both Gabriel and
-RNG planarization.
+read ``Topology.coords`` (plain Python floats), and its ``route()`` takes
+greedy hops inline.  The oracle below is a frozen copy of the earlier
+implementation: its own loop makes one ``forward_one`` call per TTL
+slot, greedy or perimeter, over rows of the numpy ``positions`` array
+and ``np.float64`` distances, with no next-hop memo.  Both must take the
+same hop at every step: equal paths, per-hop modes, perimeter hop counts
+and delivery flags from ``route()``, equal ``hop_modes`` after
+``path()``, and equal planar rows (the router's built one at a time on
+first read), over random, sparse (perimeter-heavy), grid (exact distance
+ties) and failure-degraded topologies, under both Gabriel and RNG
+planarization.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.routing.gpsr import (
     _PERIMETER,
     GPSRRouter,
     PacketState,
+    RouteResult,
     StepOutcome,
 )
 from repro.routing.planarization import planarize
@@ -83,14 +87,49 @@ def _reference_planarize(topology: Topology, kind: str) -> list[tuple[int, ...]]
 
 
 class _ReferenceGPSR(GPSRRouter):
-    """GPSR whose every forwarding decision indexes numpy position rows."""
+    """GPSR whose every forwarding decision indexes numpy position rows.
+
+    Its ``route`` is the frozen step loop: one ``forward_one`` call per
+    TTL slot, greedy hops included, with no next-hop memo.
+    """
 
     def __init__(self, topology: Topology, *, planarization: str) -> None:
         super().__init__(topology, planarization=planarization)
         self._planar = _reference_planarize(topology, planarization)
 
-    def start_packet(self, dst: int) -> PacketState:
-        return PacketState(dest=self.topology.position(dst))
+    def route(self, src: int, dst: int) -> RouteResult:
+        self._validate_node(src)
+        self._validate_node(dst)
+        if src == dst:
+            return RouteResult([src], delivered=True)
+        state = PacketState(dest=self.topology.position(dst))
+        path = [src]
+        current = src
+        previous: int | None = None
+        for _ in range(self.ttl):
+            if current == dst:
+                return RouteResult(
+                    path,
+                    delivered=True,
+                    perimeter_hops=state.perimeter_hops,
+                    modes=tuple(state.modes),
+                )
+            outcome, nxt = self.forward_one(current, previous, state)
+            if outcome == "stay":
+                continue
+            if outcome == "drop":
+                return RouteResult(
+                    path,
+                    delivered=False,
+                    perimeter_hops=state.perimeter_hops,
+                    modes=tuple(state.modes),
+                )
+            assert nxt is not None
+            previous, current = current, nxt
+            path.append(current)
+        raise DeliveryError(
+            f"TTL ({self.ttl}) exceeded routing {src} -> {dst}", path
+        )
 
     def forward_one(
         self, current: int, previous: int | None, state: PacketState
@@ -233,11 +272,19 @@ def _pairs(draw, topology: Topology, count: int) -> list[tuple[int, int]]:
 
 
 def _outcome(router: GPSRRouter, src: int, dst: int):
+    """``route()``'s outcome, then the modes ``path()`` caches for the pair."""
     try:
         result = router.route(src, dst)
     except DeliveryError as exc:
         return ("ttl", exc.args)
-    return (result.path, result.modes, result.perimeter_hops, result.delivered)
+    routed = (result.path, result.modes, result.perimeter_hops, result.delivered)
+    try:
+        router.path(src, dst)
+    except DeliveryError as exc:
+        return routed, ("undelivered", exc.args)
+    # The reference inherits ``path()``, so check its mode cache here.
+    assert src == dst or router.hop_modes(src, dst) == result.modes
+    return routed, router.hop_modes(src, dst)
 
 
 def _rows(router: GPSRRouter) -> list[tuple[int, ...]]:

@@ -4,8 +4,9 @@
 router routes every ordered pair of a random field, so later packets hit
 entries earlier ones filled — also on greedy hops taken after a
 perimeter-to-greedy recovery — and every outcome must equal the frozen,
-memo-free ``_ReferenceGPSR``: path, per-hop modes, perimeter hops,
-delivery and the ``DeliveryError`` text.  Failing nodes with
+memo-free ``_ReferenceGPSR``, whose own loop takes one ``forward_one``
+step per TTL slot: path, per-hop modes, perimeter hops, delivery, the
+``DeliveryError`` text and the modes ``path()`` caches.  Failing nodes with
 ``without_nodes`` and re-routing every surviving pair checks that the
 derived router does not reuse next hops chosen over the old neighbor
 tables.  Some draws keep the memo of only three destinations, so the
@@ -44,12 +45,20 @@ def memo_topologies(draw):
 
 
 def _outcome(router: GPSRRouter, src: int, dst: int):
-    """Route outcome as comparable data (including failure identity)."""
+    """Route outcome as comparable data (including failure identity).
+
+    A delivered pair is also routed through ``path()``, which warms the
+    path cache ``without_nodes`` carries, and its cached modes compared.
+    """
     try:
         result = router.route(src, dst)
     except DeliveryError as error:
         return ("error", str(error), error.partial_path)
-    return (result.delivered, result.path, result.perimeter_hops, result.modes)
+    outcome = (result.delivered, result.path, result.perimeter_hops, result.modes)
+    if not result.delivered:
+        return outcome
+    router.path(src, dst)
+    return outcome, router.hop_modes(src, dst)
 
 
 def _assert_every_pair_matches(
@@ -63,13 +72,9 @@ def _assert_every_pair_matches(
         for src in alive:
             if src == dst:
                 continue
-            outcome = _outcome(router, src, dst)
-            assert outcome == _outcome(
+            assert _outcome(router, src, dst) == _outcome(
                 reference, src, dst
             ), f"divergence on ({src}, {dst})"
-            if outcome[0] is True:
-                # Warm the path cache so without_nodes carries survivors.
-                router.path(src, dst)
 
 
 class TestRouteEquivalence:

@@ -11,8 +11,8 @@ benchmark harness can drive DIM and Pool identically.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from repro.aggregates import AggregateKind, AggregateState
@@ -66,11 +66,11 @@ class DimIndex:
         self.network = network.scope("dim")
         self.dimensions = dimensions
         self.tree = ZoneTree(network.topology, dimensions)
-        # Row ids of the events stored per leaf zone code (a physical
-        # node may own several zones; zone granularity keeps queries
-        # precise).
+        # Row ids of the events stored per leaf, by leaf index (a
+        # physical node may own several zones; zone granularity keeps
+        # queries precise).
         self._table = EventTable(dimensions)
-        self._storage: defaultdict[str, array[int]] = defaultdict(row_array)
+        self._rows: list[array[int]] = [row_array() for _ in range(len(self.tree))]
         # Called after every successfully stored event with
         # (zone_code, event, owner_node) — zone codes are the native cell
         # identity DIM plans resolve to, so the serve-layer cache
@@ -98,7 +98,7 @@ class DimIndex:
                 detail=leaf.code,
                 delivered=False,
             )
-        self._storage[leaf.code].append(self._table.append(event))
+        self._rows[leaf.index].append(self._table.append(event))
         for listener in self.insert_listeners:
             listener(leaf.code, event, leaf.owner)
         return InsertReceipt(
@@ -121,17 +121,30 @@ class DimIndex:
         return run_staged(self, sink, query)
 
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
-        """Pure resolving: the overlapping leaf zones, at the sink, zero messages."""
-        zones = self.tree.zones_for_query(query)
-        owners = sorted({zone.owner for zone in zones})
+        """Pure resolving: the overlapping leaf zones, at the sink, zero messages.
+
+        One mask over the tree's leaf arrays selects the leaf indices;
+        the owners are their sorted unique owners, and the zones and
+        codes come from one gather.
+        """
+        tree = self.tree
+        indices = tree.leaf_indices(query)
+        owners = tree.owners_of(indices)
+        picks = indices.tolist()
+        if len(picks) > 1:
+            gather = itemgetter(*picks)
+            zones, codes = gather(tree.leaves), gather(tree.codes)
+        else:
+            zones = tuple(map(tree.leaves.__getitem__, picks))
+            codes = tuple(map(tree.codes.__getitem__, picks))
         return QueryPlan(
             system="dim",
             sink=sink,
             query=query,
-            cells=tuple(zone.code for zone in zones),
-            destinations=tuple(owners),
-            share_key=("dim", sink, tuple(owners)),
-            detail=tuple(zones),
+            cells=codes,
+            destinations=owners,
+            share_key=("dim", sink, owners),
+            detail=zones,
         )
 
     def execute_plan(self, plan: QueryPlan) -> Execution:
@@ -161,11 +174,11 @@ class DimIndex:
             zone_codes=tuple(plan.cells),
             owner_nodes=tuple(owners),
         )
-        storage = self._storage
+        storage = self._rows
         if plan.is_local:
             return QueryResult(
                 events=self._table.select(
-                    query, [rows for zone in zones if (rows := storage.get(zone.code))]
+                    query, [rows for zone in zones if (rows := storage[zone.index])]
                 ),
                 forward_cost=0,
                 reply_cost=0,
@@ -174,17 +187,20 @@ class DimIndex:
             )
         answered = execution.answered
         # A zone answers only when its owner's reply reached the sink.
-        answered_rows: list[array[int]] = []
         unreachable_codes: list[str] = []
         unreachable_owners: set[int] = set()
-        for zone in zones:
-            if zone.owner in answered:
-                rows = storage.get(zone.code)
-                if rows:
-                    answered_rows.append(rows)
-            else:
-                unreachable_codes.append(zone.code)
-                unreachable_owners.add(zone.owner)
+        if answered.issuperset(owners):
+            answered_rows = [rows for zone in zones if (rows := storage[zone.index])]
+        else:
+            answered_rows = []
+            for zone in zones:
+                if zone.owner in answered:
+                    rows = storage[zone.index]
+                    if rows:
+                        answered_rows.append(rows)
+                else:
+                    unreachable_codes.append(zone.code)
+                    unreachable_owners.add(zone.owner)
         return resolve_result(
             events=self._table.select(query, answered_rows),
             forward_cost=execution.forward_cost,
@@ -272,8 +288,11 @@ class DimIndex:
         return len(self._table)
 
     def events_in_zone(self, code: str) -> tuple[Event, ...]:
-        """Events stored under one zone code."""
-        return tuple(self._table.events(self._storage.get(code, ())))
+        """Events stored under one leaf zone code (``()`` for any other code)."""
+        zone = self.tree.leaf_by_code(code)
+        if zone.code != code or zone.low is not None:
+            return ()
+        return tuple(self._table.events(self._rows[zone.index]))
 
     def storage_distribution(self) -> dict[int, int]:
         """Events per *physical node* — the hotspot metric.
@@ -283,8 +302,8 @@ class DimIndex:
         against DIM.
         """
         per_node: dict[int, int] = {}
-        for leaf in self.tree.leaves:
-            count = len(self._storage.get(leaf.code, ()))
+        for leaf, rows in zip(self.tree.leaves, self._rows):
+            count = len(rows)
             if count:
                 per_node[leaf.owner] = per_node.get(leaf.owner, 0) + count
         return per_node

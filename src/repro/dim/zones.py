@@ -61,6 +61,10 @@ class Zone:
     residents:
         Node ids physically inside ``geo`` (leaves have 0 or 1 except when
         the depth guard triggers on near-coincident nodes).
+    index:
+        For leaves: the leaf's position in code order, which indexes the
+        tree's leaf arrays and DIM's per-leaf storage.  ``-1`` on
+        internal zones.
     """
 
     code: str
@@ -68,6 +72,7 @@ class Zone:
     value_box: ValueBox
     owner: int = -1
     residents: tuple[int, ...] = ()
+    index: int = -1
     low: "Zone | None" = None
     high: "Zone | None" = None
 
@@ -140,21 +145,27 @@ class ZoneTree:
             value_box=root_box,
             residents=tuple(range(topology.size)),
         )
-        self._leaves: list[Zone] = []
-        self._build(self.root)
-        # Leaf value boxes as (leaves, k) arrays.  ``_build`` appends
-        # leaves low half first, and no leaf code is a prefix of another,
-        # so leaf order is code order.
-        boxes = np.array([leaf.value_box for leaf in self._leaves], dtype=np.float64)
-        self._lo, self._hi = boxes.transpose(2, 0, 1).copy()
+        leaves: list[Zone] = []
+        self._build(self.root, leaves)
+        # Flat per-leaf arrays.  ``_build`` appends leaves low half first,
+        # and no leaf code is a prefix of another, so leaf order (each
+        # leaf's ``index``) is code order.  The value-box bounds are
+        # ``(k, leaves)`` arrays, one contiguous row per axis.
+        self._leaves = tuple(leaves)
+        boxes = np.array([leaf.value_box for leaf in leaves], dtype=np.float64)
+        self._lo, self._hi = boxes.transpose(2, 1, 0).copy()
+        #: Owner node id of each leaf, by leaf index.
+        self.owners = np.array([leaf.owner for leaf in leaves], dtype=np.intp)
+        #: Zone code of each leaf, by leaf index.
+        self.codes: tuple[str, ...] = tuple(leaf.code for leaf in leaves)
 
     # ------------------------------------------------------------------ #
     # Construction                                                       #
     # ------------------------------------------------------------------ #
 
-    def _build(self, zone: Zone) -> None:
+    def _build(self, zone: Zone, leaves: list[Zone]) -> None:
         if len(zone.residents) <= 1 or zone.depth >= self.max_depth:
-            self._finalize_leaf(zone)
+            self._finalize_leaf(zone, leaves)
             return
         depth = zone.depth
         if depth % 2 == 0:
@@ -184,10 +195,10 @@ class ZoneTree:
             value_box=value_high,
             residents=high_residents,
         )
-        self._build(zone.low)
-        self._build(zone.high)
+        self._build(zone.low, leaves)
+        self._build(zone.high, leaves)
 
-    def _finalize_leaf(self, zone: Zone) -> None:
+    def _finalize_leaf(self, zone: Zone, leaves: list[Zone]) -> None:
         if zone.residents:
             # The resident closest to the zone center owns it (ties by id).
             center = zone.geo.center
@@ -203,7 +214,8 @@ class ZoneTree:
             # Empty zone: adopted by the nearest node (GPSR's delivery
             # target for packets addressed into the region).
             zone.owner = self.topology.closest_node(zone.geo.center)
-        self._leaves.append(zone)
+        zone.index = len(leaves)
+        leaves.append(zone)
 
     # ------------------------------------------------------------------ #
     # Lookups                                                            #
@@ -211,8 +223,8 @@ class ZoneTree:
 
     @property
     def leaves(self) -> tuple[Zone, ...]:
-        """All leaf zones (the actual partition)."""
-        return tuple(self._leaves)
+        """All leaf zones (the actual partition), in code order."""
+        return self._leaves
 
     def __len__(self) -> int:
         return len(self._leaves)
@@ -245,27 +257,41 @@ class ZoneTree:
             zone = zone.high if bit == "1" else zone.low
         return zone
 
-    def zones_for_query(self, query: RangeQuery) -> list[Zone]:
-        """All leaf zones whose value box overlaps ``query``, in code order.
+    def leaf_indices(self, query: RangeQuery) -> np.ndarray:
+        """Indices of the leaves whose value box overlaps ``query``, ascending.
 
         This is DIM's range-query decomposition: the value-space k-d
         descent, pruning subtrees disjoint from the query hyper-rectangle.
-        The number of returned zones grows with network size for a fixed
+        The number of selected zones grows with network size for a fixed
         query — the scalability weakness the paper's Figure 6
         demonstrates.
 
         The descent reaches a leaf exactly when the leaf's own box
         overlaps the query on every axis (an ancestor's interval on an
-        axis contains the leaf's), so one closed test over the leaf-box
-        arrays, the comparison of :meth:`Zone.overlaps`, selects the same
-        zones.  The arrays are in code order, and so is the result.
+        axis contains the leaf's), so one closed test per axis over the
+        leaf-box rows, the comparison of :meth:`Zone.overlaps`, selects
+        the same zones.  An axis the query leaves at ``[0, 1]`` is
+        skipped: every leaf box lies inside the unit interval.  Leaf
+        indices are in code order.
         """
         if query.dimensions != self.dimensions:
             raise DimensionMismatchError(self.dimensions, query.dimensions, "query")
-        q = np.array(query.bounds, dtype=np.float64)
-        miss = (self._hi < q[:, 0]) | (q[:, 1] < self._lo)
+        lo_rows = self._lo
+        hi_rows = self._hi
+        mask: np.ndarray | None = None
+        for axis, (q_lo, q_hi) in enumerate(query.bounds):
+            if q_lo <= 0.0 and q_hi >= 1.0:
+                continue
+            hit = (hi_rows[axis] >= q_lo) & (lo_rows[axis] <= q_hi)
+            mask = hit if mask is None else mask & hit
+        if mask is None:
+            return np.arange(len(self._leaves))
+        return np.flatnonzero(mask)
+
+    def zones_for_query(self, query: RangeQuery) -> list[Zone]:
+        """All leaf zones whose value box overlaps ``query``, in code order."""
         leaves = self._leaves
-        return [leaves[i] for i in np.flatnonzero(~miss.any(axis=1)).tolist()]
+        return [leaves[i] for i in self.leaf_indices(query).tolist()]
 
     def iter_zones(self) -> Iterator[Zone]:
         """Depth-first iteration over every zone (internal and leaf)."""
@@ -278,6 +304,17 @@ class ZoneTree:
                 stack.append(zone.high)
                 stack.append(zone.low)
 
+    def owners_of(self, indices: np.ndarray) -> tuple[int, ...]:
+        """Sorted unique owners of the leaves at ``indices``.
+
+        The ids are the topology's shared ``node_ids`` objects, not the
+        fresh ints numpy's ``tolist`` makes.
+        """
+        owners = np.sort(self.owners[indices])
+        if owners.size > 1:
+            owners = owners[np.concatenate(([True], owners[1:] != owners[:-1]))]
+        return tuple(map(self.topology.node_ids.__getitem__, owners.tolist()))
+
     def owners_for_query(self, query: RangeQuery) -> list[int]:
         """Deduplicated, sorted owner node ids of the query's zones."""
-        return sorted({zone.owner for zone in self.zones_for_query(query)})
+        return list(self.owners_of(self.leaf_indices(query)))

@@ -135,6 +135,17 @@ class Topology:
         """
         return [(x, y) for x, y in self._positions.tolist()]
 
+    @cached_property
+    def node_ids(self) -> tuple[int, ...]:
+        """``tuple(range(size))``: one shared ``int`` object per node id.
+
+        Ids that come out of numpy (``tolist()``) are fresh objects, 28
+        bytes each; code that keeps many of them (plan owners, routed
+        paths) maps them through this tuple so every stored id is the
+        same object.
+        """
+        return tuple(range(self.size))
+
     def position(self, node: int) -> Point:
         """Position of a node id as a :class:`Point`."""
         return Point(*self.coords[node])

@@ -23,7 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from functools import lru_cache
+from itertools import chain
+from typing import Iterable, Literal, Sequence
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError, DeliveryError, RoutingError
 from repro.geometry import (
@@ -46,12 +50,43 @@ _PERIMETER: Literal["perimeter"] = "perimeter"
 #: only a few packets, stays bounded in memory.
 MEMO_DESTINATIONS = 256
 
+#: Fewest cold destinations :meth:`GPSRRouter.paths` walks in lockstep;
+#: below it each is routed through :meth:`GPSRRouter.path`.  A lockstep
+#: step costs a handful of numpy calls whatever the walk count, while a
+#: scalar walk costs per hop, so the lockstep wins from about 16 walks
+#: up.  Medians on random pairs of the 3,000-node perfbench field, cold
+#: routers (shared 2-core x86-64 host, Python 3.11), whole walks
+#: including the paths' conversion to lists:
+#:
+#: =====  ===========  =============
+#: walks  scalar (µs)  lockstep (µs)
+#: =====  ===========  =============
+#:     8          621            966
+#:    12          870          1,031
+#:    16          892            774
+#:    24        1,573          1,179
+#:    32        2,129          1,323
+#:    64        4,369          1,895
+#:   256       16,839          3,964
+#: =====  ===========  =============
+LOCKSTEP_DESTINATIONS = 16
+
 #: Outcome of one :meth:`GPSRRouter.forward_one` step.  ``"hop"`` forwards
 #: the packet to the returned neighbor, ``"stay"`` re-enters greedy mode
 #: without transmitting (it still consumes one TTL slot, mirroring the
 #: ``continue`` in the classic loop), ``"drop"`` means the destination is
 #: unreachable from the current node.
 StepOutcome = Literal["hop", "stay", "drop"]
+
+
+@lru_cache(maxsize=None)
+def _greedy_modes(hops: int) -> tuple[str, ...]:
+    """The modes of an all-greedy walk of ``hops`` hops, one tuple per count.
+
+    Nearly every route is all-greedy, so its cached modes share these
+    tuples instead of holding a copy each.
+    """
+    return (_GREEDY,) * hops
 
 
 @dataclass(slots=True)
@@ -153,6 +188,9 @@ class GPSRRouter:
         # decision reads only the current node's neighbor table and the
         # destination, so the memo returns exactly what the scan would.
         self._greedy_memo: dict[int, dict[int, int | None]] = {}
+        # Padded neighbour matrix and coordinate columns of the lockstep
+        # walk, built on the first lockstep.
+        self._lockstep_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # Public API                                                         #
@@ -171,6 +209,15 @@ class GPSRRouter:
                 self.topology, node, self.planarization_kind
             )
         return row
+
+    @property
+    def path_cache(self) -> dict[tuple[int, int], list[int]]:
+        """The memoized paths by ``(src, dst)``; read it, never write it.
+
+        A tree build probes it inline, so a warm destination costs one
+        dict lookup and no call.
+        """
+        return self._path_cache
 
     @property
     def cached_paths(self) -> int:
@@ -231,6 +278,44 @@ class GPSRRouter:
         self._path_cache[key] = result.path
         self._mode_cache[key] = result.modes
         return result.path
+
+    def paths(self, src: int, destinations: Sequence[int]) -> list[list[int]]:
+        """The :meth:`path` from ``src`` to each destination, in order.
+
+        Equal to ``[self.path(src, d) for d in destinations]``: the same
+        paths and modes, cached in destination order, and on a
+        :class:`RoutingError` or :class:`DeliveryError` the same error
+        with the same cache keys.  When at least
+        :data:`LOCKSTEP_DESTINATIONS` distinct, uncached, routable
+        destinations remain, they are first walked together in greedy
+        mode (:meth:`_lockstep`); a walk that dead-ends, and every
+        destination below the threshold, goes through :meth:`path`.
+        """
+        cache = self._path_cache
+        walked: dict[int, list[int]] = {}
+        alive = self.topology.is_alive
+        if alive(src):
+            cold = {
+                dst: None
+                for dst in destinations
+                if dst != src and (src, dst) not in cache and alive(dst)
+            }
+            if len(cold) >= LOCKSTEP_DESTINATIONS:
+                walked = self._lockstep(src, list(cold))
+        modes = self._mode_cache
+        result = []
+        for dst in destinations:
+            key = (src, dst)
+            path = cache.get(key)
+            if path is None:
+                path = walked.get(dst)
+                if path is None:
+                    path = self.path(src, dst)
+                else:
+                    cache[key] = path
+                    modes[key] = _greedy_modes(len(path) - 1)
+            result.append(path)
+        return result
 
     def hops(self, src: int, dst: int) -> int:
         """Hop count of :meth:`path`."""
@@ -367,7 +452,7 @@ class GPSRRouter:
                 f"TTL ({self.ttl}) exceeded routing {src} -> {dst}", path
             )
         if state is None:
-            return RouteResult(path, delivered=True, modes=(_GREEDY,) * (len(path) - 1))
+            return RouteResult(path, delivered=True, modes=_greedy_modes(len(path) - 1))
         state.modes += [_GREEDY] * (len(path) - 1 - len(state.modes))
         return RouteResult(
             path,
@@ -388,6 +473,83 @@ class GPSRRouter:
         results = (self.route(s, d) for s, d in samples)
         ok = sum(1 for r in results if r.delivered and r.greedy_only)
         return ok / len(samples)
+
+    def _lockstep(self, src: int, destinations: list[int]) -> dict[int, list[int]]:
+        """Greedy walks from ``src`` to distinct live ``destinations``, together.
+
+        Each step advances every unfinished walk by one hop, with one
+        numpy pass over the current nodes' padded neighbour rows.  It
+        takes the same ``dx*dx + dy*dy`` in float64 as :meth:`route`'s
+        scan, and ``argmin`` takes the first minimum, which is the
+        scan's strict ``<`` in neighbour-table order.  A walk advances
+        only while that minimum is strictly below its current node's
+        distance, so each step is the scan's greedy hop.  Returns the
+        path of every walk that reached its destination (all-greedy,
+        ids from ``topology.node_ids``); a walk that dead-ends is left
+        out, for :meth:`path` to route with perimeter mode.
+        """
+        neighbours, xs, ys = self._tables()
+        target = np.array(destinations, dtype=np.intp)
+        tx = xs[target]
+        ty = ys[target]
+        walk = np.arange(len(destinations))
+        current = np.full(len(destinations), src, dtype=np.intp)
+        dx = xs[src] - tx
+        dy = ys[src] - ty
+        here = dx * dx + dy * dy
+        hops = np.zeros(len(destinations), dtype=np.intp)
+        steps: list[tuple[np.ndarray, np.ndarray]] = []
+        while walk.size:
+            rows = neighbours[current]
+            dx = xs[rows] - tx[:, None]
+            dy = ys[rows] - ty[:, None]
+            dist = dx * dx + dy * dy
+            pick = dist.argmin(axis=1)
+            lanes = np.arange(walk.size)
+            best = dist[lanes, pick]
+            nxt = rows[lanes, pick]
+            moved = best < here
+            steps.append((walk[moved], nxt[moved]))
+            arrived = moved & (nxt == target)
+            hops[walk[arrived]] = len(steps)
+            going = moved & ~arrived
+            walk = walk[going]
+            current = nxt[going]
+            target = target[going]
+            tx = tx[going]
+            ty = ty[going]
+            here = best[going]
+        grid = np.zeros((len(steps), len(destinations)), dtype=np.intp)
+        for step, (lanes, nodes) in enumerate(steps):
+            grid[step, lanes] = nodes
+        columns = grid.T.tolist()
+        node_id = self.topology.node_ids.__getitem__
+        return {
+            destinations[lane]: [src, *map(node_id, columns[lane][:count])]
+            for lane, count in enumerate(hops.tolist())
+            if count
+        }
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lockstep's padded neighbour matrix and coordinate columns.
+
+        Row ``u`` holds ``u``'s neighbour-table row, padded with the
+        sentinel id ``n``, whose coordinates are infinite: its distance
+        is ``inf``, never strictly below a node's, so it is never taken.
+        """
+        if self._lockstep_tables is None:
+            table = self.topology.neighbor_table
+            size = len(table)
+            degrees = np.fromiter(map(len, table), dtype=np.intp, count=size)
+            neighbours = np.full((size, max(int(degrees.max()), 1)), size, dtype=np.intp)
+            filled = np.arange(neighbours.shape[1]) < degrees[:, None]
+            neighbours[filled] = np.fromiter(
+                chain.from_iterable(table), dtype=np.intp, count=int(degrees.sum())
+            )
+            xs = np.append(self.topology.positions[:, 0], np.inf)
+            ys = np.append(self.topology.positions[:, 1], np.inf)
+            self._lockstep_tables = (neighbours, xs, ys)
+        return self._lockstep_tables
 
     # ------------------------------------------------------------------ #
     # Forwarding rules                                                   #

@@ -143,19 +143,30 @@ class TreeBuilder:
         node already in the tree, and grafted from there on, so shared
         prefixes are never re-added and the structure stays a tree (each
         node has one parent).
+
+        A destination's path is first probed in the router's path cache
+        inline, so a warm tree makes no routing call.  At the first miss,
+        that destination and every later one not yet in the tree go to
+        :meth:`GPSRRouter.paths` at once, which walks a large cold batch
+        in lockstep; the later probes then hit.
         """
         destinations = self._destinations
         parents = self._parents
         depths = self._depths
         router = self.router
         root = self.root
-        for node in nodes:
+        probe = router.path_cache.get
+        pending = list(nodes)
+        for position, node in enumerate(pending):
             if node in depths:
                 destinations[node] = None
                 continue
-            # Route planning, not a send: the grafted edges are charged in
-            # bulk when the finished tree is disseminated.
-            path = router.path(root, node)  # repro-lint: ignore[REP101]
+            path = probe((root, node))
+            if path is None:
+                rest = [n for n in pending[position:] if n not in depths]
+                # Route planning, not a send: the grafted edges are charged
+                # in bulk when the finished tree is disseminated.
+                path = router.paths(root, rest)[0]  # repro-lint: ignore[REP101]
             # The root at index 0 is always in the tree.
             splice = len(path) - 1
             while path[splice] not in depths:

@@ -130,20 +130,14 @@ class ExternalStorage:
                 path = None
             if path is not None:
                 forward_cost = len(path) - 1
-                if self.network.reliability is None:
-                    self.network.stats.record(
-                        MessageCategory.QUERY_REPLY, forward_cost
+                try:
+                    self.network.send_along(
+                        MessageCategory.QUERY_REPLY, list(reversed(path))
                     )
                     reply_cost = forward_cost
-                else:
-                    try:
-                        self.network.send_along(
-                            MessageCategory.QUERY_REPLY, list(reversed(path))
-                        )
-                        reply_cost = forward_cost
-                    except UnreachableError as err:
-                        reply_cost = max(len(err.partial_path) - 1, 0)
-                        warehouse_answered = False
+                except UnreachableError as err:
+                    reply_cost = max(len(err.partial_path) - 1, 0)
+                    warehouse_answered = False
         return Execution(
             forward_cost=forward_cost,
             reply_cost=reply_cost,

@@ -1034,15 +1034,13 @@ class PoolSystem:
                 answered, _ = self.network.collect_up_tree(
                     MessageCategory.QUERY_REPLY, delivery
                 )
-                if rel is None:
-                    stats.record(MessageCategory.QUERY_REPLY, sink_hops)
-                else:
-                    try:
-                        self.network.send_along(
-                            MessageCategory.QUERY_REPLY, list(reversed(path))
-                        )
-                    except UnreachableError:
-                        answered = frozenset()
+                try:
+                    self.network.send_along(
+                        MessageCategory.QUERY_REPLY, list(reversed(path))
+                    )
+                except UnreachableError:
+                    answered = frozenset()
+                if rel is not None:
                     reply.annotate(answered=len(answered))
                 reply.add_nodes(tree.depths)
             pool_span.add_nodes(leg_plan.destinations)

@@ -47,6 +47,11 @@ class MessageCategory(enum.Enum):
     #: own forward transmission), so a lossless network charges none.
     ACK = "ack"
 
+    # Every charge hashes its category into the ledger's counts.  Members
+    # are singletons compared by identity, so the identity hash (C-level)
+    # is exact; ``Enum``'s own hashes the name in Python, twice per charge.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -24,7 +24,6 @@ a *derived* deployment, leaving siblings routing over the healthy field.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence, TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
@@ -71,7 +70,7 @@ class Network:
     flight_recorder:
         Optional :class:`~repro.obs.recorder.FlightRecorder` capturing
         per-hop events (hop + GPSR mode, ARQ losses/retransmits) for
-        every unicast sent through this facade and its scopes.  Same
+        every unicast and tree sent through this facade and its scopes.  Same
         zero-cost-when-``None`` contract as ``telemetry``.
     """
 
@@ -229,13 +228,12 @@ class Network:
         pid: int | None = None
         modes: tuple[str, ...] | None = None
         if flight is not None and len(path) > 1:
-            pid = flight.open_packet(category.value, path[0], path[-1])
-            modes = self.router.hop_modes(path[0], path[-1])
-            if modes is not None and len(modes) != len(path) - 1:
-                # A caller-supplied path (e.g. a reversed reply leg) does
-                # not line up with the cached route; record unknown modes
-                # rather than mislabel hops.
-                modes = None
+            src, dst = path[0], path[-1]
+            pid = flight.open_packet(category.value, src, dst)
+            # A caller-supplied path (e.g. a reversed reply leg) is not the
+            # cached route; record unknown modes rather than mislabel hops.
+            if self.router.path_cache.get((src, dst)) == list(path):
+                modes = self.router.hop_modes(src, dst)
         if self.reliability is None:
             self.stats.record_path(category, path)
             if flight is not None and pid is not None:
@@ -274,16 +272,18 @@ class Network:
 
         The one send path of every dissemination: :meth:`disseminate`
         builds a tree and calls this, and Pool sends the tree its plan
-        already carries.  Without a reliability layer every tree node is
-        reached and the whole dissemination is charged in bulk (one
-        transmission per edge).  With one, edges are attempted in
-        deterministic BFS order (parents before children, siblings
-        sorted); an edge whose ARQ budget is exhausted prunes its
-        subtree, since a branch that never heard the query cannot relay
-        it.  Charging runs inside a ``cell-fanout`` span, the
-        dissemination leg of Section 3.2.3.
+        already carries.  Edges go in BFS order (parents before
+        children, siblings sorted).  Without a reliability layer every
+        tree node is reached and the tree is logged whole (one
+        transmission per edge).  With one, each edge runs ARQ, and an
+        edge whose budget is exhausted prunes its subtree, since a
+        branch that never heard the query cannot relay it.  A flight
+        recorder sees the dissemination as one packet from the root.
+        Charging runs inside a ``cell-fanout`` span, the dissemination
+        leg of Section 3.2.3.
         """
         src = tree.root
+        flight = self.flight_recorder
         with open_span(
             self.telemetry, "cell-fanout", ledger=self.stats, phase="forward", root=src
         ) as span:
@@ -291,23 +291,26 @@ class Network:
             span.add_nodes(tree.depths)
             rel = self.reliability
             if rel is None:
-                self.stats.record(category, tree.forward_cost)
+                self.stats.record_tree(category, tree)
+                if flight is not None:
+                    _record_tree_hops(flight, category, tree, reply=False)
                 return TreeDelivery(
                     tree=tree,
                     reached=frozenset(tree.depths),
                     attempted_edges=tree.forward_cost,
                 )
-            children = tree.children()
+            pid = _open_tree_packet(flight, category, tree)
+            parents = tree.parents
             reached = {src}
             attempted = 0
-            frontier = deque((src,))
-            while frontier:
-                parent = frontier.popleft()
-                for child in children.get(parent, ()):
+            for child in tree.bfs_order()[1:]:
+                parent = parents[child]
+                if parent in reached:
                     attempted += 1
-                    if rel.deliver_hop(category, parent, child, self.stats):
+                    if rel.deliver_hop(
+                        category, parent, child, self.stats, flight=flight, pid=pid
+                    ):
                         reached.add(child)
-                        frontier.append(child)
         return TreeDelivery(
             tree=tree, reached=frozenset(reached), attempted_edges=attempted
         )
@@ -322,27 +325,30 @@ class Network:
         branch points; a lost child→parent hop silences that child's
         whole aggregated subtree) and ``reply_messages`` counts attempted
         reply transmissions (first attempts, matching ``reply_cost`` when
-        nothing is lost).  Reached nodes reply deepest-first so the
-        transmission-tick order is deterministic.
+        nothing is lost).  Reached nodes reply deepest-first, ties by id,
+        so the transmission-tick order is deterministic; a flight
+        recorder sees the collection as one packet converging on the
+        root.
         """
         tree = delivery.tree
         rel = self.reliability
+        flight = self.flight_recorder
         if rel is None:
-            cost = tree.reply_cost
-            self.stats.record(category, cost)
-            return delivery.reached, cost
+            self.stats.record_tree(category, tree, reply=True)
+            if flight is not None:
+                _record_tree_hops(flight, category, tree, reply=True)
+            return delivery.reached, tree.reply_cost
+        pid = _open_tree_packet(flight, category, tree)
         reached = delivery.reached
-        depths = tree.depths
-        reply_edges = sorted(
-            ((parent, child) for child, parent in tree.parents.items() if child in reached),
-            key=lambda edge: (-depths[edge[1]], edge[1]),
-        )
-        hop_ok: dict[int, bool] = {}
-        for parent, child in reply_edges:
-            hop_ok[child] = rel.deliver_hop(category, child, parent, self.stats)
         parents = tree.parents
+        hop_ok: dict[int, bool] = {}
+        for child in tree.reply_order():
+            if child in reached:
+                hop_ok[child] = rel.deliver_hop(
+                    category, child, parents[child], self.stats, flight=flight, pid=pid
+                )
         answered: set[int] = set()
-        for node in sorted(delivery.reached):
+        for node in sorted(reached):
             current = node
             ok = True
             while current != tree.root:
@@ -352,7 +358,7 @@ class Network:
                 current = parents[current]
             if ok:
                 answered.add(node)
-        return frozenset(answered), len(reply_edges)
+        return frozenset(answered), len(hop_ok)
 
     # ------------------------------------------------------------------ #
     # Accounting helpers                                                 #
@@ -368,3 +374,32 @@ class Network:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Network({self.topology!r})"
+
+
+def _open_tree_packet(
+    flight: "FlightRecorder | None", category: MessageCategory, tree: MulticastTree
+) -> int | None:
+    """A tree's packet id in ``flight`` (``None`` with no recorder or edge).
+
+    A tree packet runs from its root back to the root: the ``send`` event
+    names the root as both ends.
+    """
+    if flight is None or not tree.parents:
+        return None
+    return flight.open_packet(category.value, tree.root, tree.root)
+
+
+def _record_tree_hops(
+    flight: "FlightRecorder", category: MessageCategory, tree: MulticastTree, *, reply: bool
+) -> None:
+    """One packet and one ``hop`` event per edge of a lossless tree send."""
+    pid = _open_tree_packet(flight, category, tree)
+    if pid is None:
+        return
+    parents = tree.parents
+    if reply:
+        for child in tree.reply_order():
+            flight.record(pid, "hop", child, parents[child])
+    else:
+        for child in tree.bfs_order()[1:]:
+            flight.record(pid, "hop", parents[child], child)

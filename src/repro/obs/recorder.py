@@ -1,8 +1,11 @@
 """The per-hop flight recorder: a bounded ring of routing events.
 
 A :class:`FlightRecorder` is the aviation-style black box of one system's
-run, and the one place to look for the exact hops a packet took: every logical packet sent through :meth:`Network.send_along` opens a
-packet entry, and every one-hop transmission appends an event — the hop
+run, and the one place to look for the exact hops a packet took: every
+logical packet sent through :meth:`Network.send_along` opens a packet
+entry, so does every tree dissemination and reply collection
+(:meth:`Network.send_tree`, :meth:`Network.collect_up_tree`), and every
+one-hop transmission appends an event — the hop
 taken and its GPSR mode (greedy/perimeter), plus (under a reliability
 layer) per-hop losses, retransmissions, recovery ACKs and exhausted-ARQ
 failures.  ``python -m repro.obs.route capture.jsonl <pid>`` replays one
@@ -34,7 +37,7 @@ from repro.exceptions import ConfigurationError
 __all__ = ["FlightRecorder", "EVENT_KINDS"]
 
 #: Event kinds a recorder emits.  ``send`` opens a packet (src/dst are the
-#: logical endpoints); ``hop`` is one delivered one-hop transmission with
+#: logical endpoints, the root twice for a tree packet); ``hop`` is one delivered one-hop transmission with
 #: its GPSR mode in ``info``; ``loss``/``retransmit``/``ack``/``failed``
 #: are the ARQ lifecycle of a lossy hop (``info`` is the attempt index).
 EVENT_KINDS = ("send", "hop", "loss", "retransmit", "ack", "failed")

@@ -8,7 +8,8 @@ Usage::
 Reads a telemetry export taken with ``pool-bench --flight-recorder``,
 finds the records whose ``flight_recorder`` ring retains events for the
 given packet id, and prints the reconstructed route: the logical
-send, every hop with its GPSR mode, and any ARQ activity (losses,
+send, every hop with its GPSR mode (a tree packet lists its edges), and
+any ARQ activity (losses,
 retransmissions, recovery ACKs, exhausted hops).  Exit status ``1``
 when no record retains that packet (wrong id, or evicted from the
 bounded ring).
@@ -53,12 +54,16 @@ def render_replay(
     dst: int | None = None
     last_hop_dst: int | None = None
     failed = False
+    tree = False
     for event in events:
         kind = event.get("kind")
         src, to = event.get("src"), event.get("dst")
         info = event.get("info")
         if kind == "send":
             dst = int(to) if to is not None else None
+            # A tree packet (dissemination or reply collection) names its
+            # root as both ends; its hops fan out rather than chain.
+            tree = src == to
             lines.append(f"  send {src} -> {to}  category={info}")
         elif kind == "hop":
             last_hop_dst = int(to) if to is not None else None
@@ -77,7 +82,7 @@ def render_replay(
             lines.append(f"  {kind} {src} -> {to}  {info}")
     if failed:
         lines.append("  status: undelivered (hop exhausted its retry budget)")
-    elif dst is not None and last_hop_dst == dst:
+    elif dst is not None and last_hop_dst is not None and (tree or last_hop_dst == dst):
         lines.append("  status: delivered")
     else:
         lines.append("  status: incomplete trace (ring may have evicted hops)")

@@ -10,14 +10,10 @@
 
 from repro.routing.gpsr import GPSRRouter, RouteResult
 from repro.routing.multicast import MulticastTree, TreeBuilder
-from repro.routing.planarization import gabriel_graph, planarize, rng_graph
 
 __all__ = [
     "GPSRRouter",
     "RouteResult",
     "MulticastTree",
     "TreeBuilder",
-    "gabriel_graph",
-    "rng_graph",
-    "planarize",
 ]

@@ -15,8 +15,11 @@ is apples-to-apples (see DESIGN.md §5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from repro.routing.gpsr import GPSRRouter
 
@@ -39,6 +42,36 @@ class MulticastTree:
     destinations: tuple[int, ...]
     parents: dict[int, int]
     depths: dict[int, int]
+    # ``None`` until the first ``edge_ends()``, ``False`` after it, then
+    # the ids from the second call on.
+    _edge_ends: np.ndarray | bool | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def edge_ends(self) -> np.ndarray:
+        """Each edge's parent id, then each edge's child id, in graft order.
+
+        One id array (2-byte ids where they fit): the form the message
+        ledger logs the tree in.  A tree sent again (a plan the serving
+        cache keeps) keeps its array after the second call; a tree sent
+        once does not, since plans held for other reasons would otherwise
+        carry the array as long as they live.
+        """
+        ends = self._edge_ends
+        if isinstance(ends, np.ndarray):
+            return ends
+        parents = self.parents
+        count = 2 * len(parents)
+        try:
+            converted = np.fromiter(
+                chain(parents.values(), parents.keys()), dtype=np.uint16, count=count
+            )
+        except OverflowError:  # ids past 65535
+            converted = np.fromiter(
+                chain(parents.values(), parents.keys()), dtype=np.int64, count=count
+            )
+        self._edge_ends = converted if ends is False else False
+        return converted
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -76,6 +109,23 @@ class MulticastTree:
         for kids in table.values():
             kids.sort()
         return table
+
+    def bfs_order(self) -> list[int]:
+        """Tree nodes parents-first, siblings by id: the order a query
+        floods down the tree (the root comes first)."""
+        children = self.children()
+        order = [self.root]
+        for node in order:
+            kids = children.get(node)
+            if kids:
+                order.extend(kids)
+        return order
+
+    def reply_order(self) -> list[int]:
+        """Non-root nodes deepest first, ties by id: the order their
+        replies leave for their parents."""
+        depths = self.depths
+        return sorted(self.parents, key=lambda node: (-depths[node], node))
 
     def height(self) -> int:
         """Hop depth of the deepest destination — the dissemination

@@ -27,13 +27,7 @@ from repro.geometry import distance_sq
 from repro.network.instrumentation import CONSTRUCTION_COUNTERS
 from repro.network.topology import Topology
 
-__all__ = [
-    "gabriel_graph",
-    "rng_graph",
-    "planar_row",
-    "planarize",
-    "PlanarizationKind",
-]
+__all__ = ["planar_row", "PlanarizationKind"]
 
 PlanarizationKind = Literal["gabriel", "rng", "none"]
 
@@ -112,23 +106,3 @@ def planar_row(
         v for v in neighbors if keeps(coords, min(u, v), max(u, v), nearby)
     )
 
-
-def planarize(
-    topology: Topology, kind: PlanarizationKind = "gabriel"
-) -> list[tuple[int, ...]]:
-    """Every row of the ``kind`` planarization of ``topology``.
-
-    Routing builds rows one at a time (:func:`planar_row`); this whole
-    build is the reference they are compared against.
-    """
-    return [planar_row(topology, u, kind) for u in range(topology.size)]
-
-
-def gabriel_graph(topology: Topology) -> list[tuple[int, ...]]:
-    """Gabriel subgraph of the radio graph, as per-node adjacency tuples."""
-    return planarize(topology, "gabriel")
-
-
-def rng_graph(topology: Topology) -> list[tuple[int, ...]]:
-    """Relative-neighborhood subgraph of the radio graph."""
-    return planarize(topology, "rng")

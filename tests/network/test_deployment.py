@@ -11,7 +11,7 @@ from repro.network.instrumentation import CONSTRUCTION_COUNTERS
 from repro.network.network import Network
 from repro.network.topology import deploy_uniform
 from repro.routing.gpsr import GPSRRouter
-from repro.routing.planarization import planarize
+from tests.routing._planar import planarize
 
 
 @pytest.fixture(scope="module")

@@ -63,6 +63,19 @@ class TestRender:
         assert "loss" in text and "retx" in text and "FAIL" in text
         assert "status: undelivered" in text
 
+    def test_tree_packet_fans_out_from_its_root(self):
+        tree = (
+            {"pid": 0, "seq": 0, "kind": "send", "src": 3, "dst": 3, "info": "query_forward"},
+            {"pid": 0, "seq": 1, "kind": "hop", "src": 3, "dst": 5},
+            {"pid": 0, "seq": 2, "kind": "hop", "src": 3, "dst": 8},
+        )
+        record = _record(events=tree)
+        text = render_replay(record, replay_packet(record, 0))
+        assert "hop  3 -> 8  [?]" in text
+        assert "status: delivered" in text
+        record = _record(events=tree[:1])
+        assert "status: incomplete trace" in render_replay(record, replay_packet(record, 0))
+
     def test_incomplete_trace(self):
         record = _record(events=_DELIVERED[:2])
         text = render_replay(record, replay_packet(record, 0))

@@ -33,7 +33,7 @@ from repro.routing.gpsr import (
     RouteResult,
     StepOutcome,
 )
-from repro.routing.planarization import planarize
+from tests.routing._planar import planarize
 
 # --------------------------------------------------------------------- #
 # Frozen reference: numpy-row forwarding and planarization              #

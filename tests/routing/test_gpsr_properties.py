@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.network.topology import deploy_uniform
 from repro.routing.gpsr import GPSRRouter
-from repro.routing.planarization import gabriel_graph
+from tests.routing._planar import gabriel_graph
 
 
 @st.composite

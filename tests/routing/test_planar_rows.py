@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.network.instrumentation import CONSTRUCTION_COUNTERS
 from repro.routing.gpsr import GPSRRouter
-from repro.routing.planarization import planarize
+from tests.routing._planar import planarize
 from tests.routing.test_gpsr_kernel import (
     grid_topologies,
     random_topologies,

@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.geometry import segments_properly_intersect
 from repro.network.topology import Topology, deploy_uniform
-from repro.routing.planarization import gabriel_graph, planarize, rng_graph
+from tests.routing._planar import gabriel_graph, planarize, rng_graph
 
 
 def _is_connected(adjacency) -> bool:

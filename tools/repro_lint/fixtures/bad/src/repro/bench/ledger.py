@@ -16,3 +16,4 @@ def launder_via_update(stats, other) -> None:
 def erase_history(stats, node: int) -> None:
     del stats._per_node_tx[node]  # expect: REP005
     stats._counts = {}  # expect: REP005
+    stats._log.clear()  # expect: REP005

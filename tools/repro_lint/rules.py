@@ -497,7 +497,7 @@ def check_rep004(tree: ast.Module, path: str, config: Config) -> list[Violation]
 # REP005 — ledger mutation                                                    #
 # --------------------------------------------------------------------------- #
 
-_LEDGER_ATTRS = frozenset({"_counts", "_per_node_tx", "_per_node_rx"})
+_LEDGER_ATTRS = frozenset({"_counts", "_log", "_per_node_tx", "_per_node_rx"})
 _MUTATORS = frozenset(
     {"update", "clear", "subtract", "pop", "popitem", "setdefault", "__setitem__"}
 )
@@ -515,9 +515,10 @@ def _ledger_attr(node: ast.expr) -> ast.Attribute | None:
 def check_rep005(tree: ast.Module, path: str, config: Config) -> list[Violation]:
     """Ledger counters are mutated only inside the accounting layer.
 
-    ``MessageStats`` internals (``_counts``, ``_per_node_tx``,
-    ``_per_node_rx``) are the source of truth for the paper's cost metric;
-    all recording goes through ``record`` / ``record_path`` / ``scope`` so
+    ``MessageStats`` internals (``_counts``, the per-node ``_log`` and
+    the ``_per_node_tx``/``_per_node_rx`` counts it folds into) are the
+    source of truth for the paper's cost metric; all recording goes
+    through ``record`` / ``record_path`` / ``record_tree`` / ``scope`` so
     scoped aggregation and tracer mirroring stay correct.
     """
     if path_matches(path, config.rep005_allow):
@@ -532,7 +533,7 @@ def check_rep005(tree: ast.Module, path: str, config: Config) -> list[Violation]
                 node.col_offset,
                 "REP005",
                 f"direct mutation of ledger counter '{attr}'; record through "
-                "the MessageStats API (record/record_path/scope)",
+                "the MessageStats API (record/record_path/record_tree/scope)",
             )
         )
 

@@ -111,7 +111,7 @@ class ContinuousQueryService:
         for leg in self.system.plan_query(sink, query).detail:
             if self.system.route_via_splitter:
                 network.unicast(MessageCategory.QUERY_FORWARD, sink, leg.splitter)
-            network.send_tree(MessageCategory.QUERY_FORWARD, leg.tree)
+            network.disseminate(MessageCategory.QUERY_FORWARD, leg.tree)
             cells.update((leg.pool, ho, vo) for ho, vo in leg.offsets)
         cost = network.stats.count(MessageCategory.QUERY_FORWARD) - before
         subscription = Subscription(

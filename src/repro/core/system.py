@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, cast
+from typing import Callable, cast
 
 from repro.core.grid import Cell, Grid
 from repro.core.insertion import Placement, candidate_placements
 from repro.core.pool import PoolLayout, choose_pivots
 from repro.core.ranges import vertical_range
 from repro.core.resolve import query_ranges, query_ranges_for_pool, resolve_pool
-from repro.aggregates import AggregateKind, AggregateState
+from repro.aggregates import AggregateKind
 from repro.core.replication import FailureReport, ReplicationPolicy
 from repro.core.sharing import CellStore, SharingPolicy
 from repro.dcs import (
@@ -32,6 +32,7 @@ from repro.dcs import (
     InsertReceipt,
     PartialResult,
     QueryResult,
+    aggregate_query,
     resolve_result,
 )
 from repro.events.event import Event
@@ -47,7 +48,7 @@ from repro.geometry import distance_sq
 from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
-from repro.routing.multicast import MulticastTree, TreeBuilder
+from repro.routing.multicast import MulticastTree, graft
 from repro.rng import SeedLike, derive
 from repro.telemetry.spans import open_span
 
@@ -691,16 +692,10 @@ class PoolSystem:
                     vertical=derived.vertical,
                     destinations=tuple(destinations),
                     cell_holders=tuple(cell_holders),
-                    tree=self._tree(splitter, destinations),
+                    tree=graft(self.network.router, splitter, destinations),
                 )
             )
         return self._assemble_plan("pool", sink, query, tuple(keys), tuple(legs))
-
-    def _tree(self, root: int, destinations: Iterable[int]) -> MulticastTree:
-        """The merged GPSR tree from ``root`` to ``destinations``, in order."""
-        builder = TreeBuilder(self.network.router, root)
-        builder.add_destinations(destinations)
-        return builder.build()
 
     def _assemble_plan(
         self,
@@ -734,18 +729,19 @@ class PoolSystem:
     def execute_plan(self, plan: QueryPlan) -> Execution:
         """Charge the plan's splitter trees; report which holders answered.
 
-        Aggregated replies retrace the forwarding tree, so the reply cost
-        mirrors the forward cost leg for leg.
+        Aggregated replies retrace the forwarding tree, so losslessly the
+        reply cost mirrors the forward cost leg for leg; under loss it
+        counts the reply hops each leg attempted.
         """
         leg_plans: tuple[PoolLegPlan, ...] = plan.detail
         leg_execs: list[PoolLegExecution] = []
         forward_cost = 0
         reply_cost = 0
         for leg in leg_plans:
-            leg_exec = self._forward(plan.sink, leg)
+            leg_exec, replies = self._forward(plan.sink, leg)
             leg_execs.append(leg_exec)
             forward_cost += leg_exec.forward_cost
-            reply_cost += leg_exec.forward_cost
+            reply_cost += replies
         return Execution(
             forward_cost=forward_cost,
             reply_cost=reply_cost,
@@ -756,6 +752,27 @@ class PoolSystem:
             ),
             detail=tuple(leg_execs),
         )
+
+    def leg_answers(
+        self, plan: QueryPlan
+    ) -> list[tuple[MulticastTree, dict[int, list[Event]]]]:
+        """Per leg of ``plan``: its splitter tree, and each holder's stored answer.
+
+        Each holder answers from its own segments that overlap the leg's
+        vertical range, without :meth:`fold_replies`: the event-driven
+        oracle (:mod:`repro.core.protocol`) checks the fold against this.
+        """
+        legs = []
+        for leg in cast("tuple[PoolLegPlan, ...]", plan.detail):
+            stores = [self._stores.get((leg.pool, ho, vo)) for ho, vo in leg.offsets]
+            held = (
+                (segment.node, segment.rows)
+                for store in stores
+                if store is not None
+                for segment in store.segments_overlapping(leg.vertical)
+            )
+            legs.append((leg.tree, self._table.select_by_holder(plan.query, held)))
+        return legs
 
     def fold_replies(self, plan: QueryPlan, execution: Execution) -> QueryResult:
         """Aggregate answered holders' matches into the query result.
@@ -860,7 +877,7 @@ class PoolSystem:
                     cells=tuple(leg.cells[i] for i in keep),
                     destinations=tuple(destinations),
                     cell_holders=cell_holders,
-                    tree=self._tree(leg.splitter, destinations),
+                    tree=graft(self.network.router, leg.splitter, destinations),
                 )
             )
         if not legs:
@@ -953,26 +970,16 @@ class PoolSystem:
         Message cost equals the corresponding range query's cost: the
         same forwarding tree, with O(1)-size replies.
         """
-        if not 0 <= dimension < self.dimensions:
-            raise ConfigurationError(
-                f"aggregate dimension {dimension} outside 0..{self.dimensions - 1}"
-            )
-        result = self.query(sink, query)
-        state = AggregateState.of_events(result.events, dimension)
-        return AggregateResult(
-            kind=kind,
-            dimension=dimension,
-            state=state,
-            forward_cost=result.forward_cost,
-            reply_cost=result.reply_cost,
-            detail=result.detail,
-        )
+        return aggregate_query(self, sink, query, dimension, kind)
 
-    def _forward(self, sink: int, leg_plan: PoolLegPlan) -> PoolLegExecution:
-        """Charge the forwarding (and implicitly reply) messages for a Pool.
+    def _forward(
+        self, sink: int, leg_plan: PoolLegPlan
+    ) -> tuple[PoolLegExecution, int]:
+        """Charge the forwarding and reply messages for a Pool.
 
-        Returns the leg's transport outcome: hop counts plus the set of
-        tree nodes whose aggregated reply actually reached the sink.  On
+        Returns the leg's transport outcome (hop counts plus the set of
+        tree nodes whose aggregated reply actually reached the sink) and
+        the reply hops attempted: up the tree, then splitter → sink.  On
         a lossless facade that is every destination; under a reliability
         layer an unreachable splitter (or a lost splitter→sink reply)
         empties the set and the fold degrades the whole Pool to
@@ -980,7 +987,7 @@ class PoolSystem:
 
         Span tree per Pool (Section 3.2.3): ``pool-fanout`` wrapping
         ``sink-to-splitter`` (the unicast leg), ``cell-fanout`` (opened by
-        :meth:`Network.send_tree` for the leg's planned tree) and
+        :meth:`Network.disseminate` for the leg's planned tree) and
         ``reply-aggregation`` (the
         replies retracing the tree, then splitter → sink).  Every span
         reads its messages off the ledger.  Under a reliability layer a
@@ -1002,7 +1009,8 @@ class PoolSystem:
                             MessageCategory.QUERY_FORWARD, sink, splitter
                         )
                     except UnreachableError as err:
-                        hops = max(len(err.partial_path) - 1, 0)
+                        # Hops reached; one more, the failed hop, was sent.
+                        hops = len(err.partial_path) - 1
                         leg.add_nodes(err.partial_path)
                         if tel is not None:
                             tel.record(
@@ -1013,17 +1021,17 @@ class PoolSystem:
                             )
                         return PoolLegExecution(
                             pool=pool,
-                            sink_to_splitter_hops=hops,
+                            sink_to_splitter_hops=hops + 1,
                             tree_edges=0,
                             depth_hops=hops,
                             answered=frozenset(),
-                        )
+                        ), 0
                     leg.add_nodes(path)
                 sink_hops = len(path) - 1
             else:
                 sink_hops = 0
                 path = [sink]
-            delivery = self.network.send_tree(
+            delivery = self.network.disseminate(
                 MessageCategory.QUERY_FORWARD, leg_plan.tree
             )
             tree = delivery.tree
@@ -1031,15 +1039,18 @@ class PoolSystem:
                 tel, "reply-aggregation", ledger=stats, phase="reply", pool=pool
             ) as reply:
                 # Aggregated replies: back down the tree, then splitter -> sink.
-                answered, _ = self.network.collect_up_tree(
+                answered, replies = self.network.collect_up_tree(
                     MessageCategory.QUERY_REPLY, delivery
                 )
                 try:
                     self.network.send_along(
                         MessageCategory.QUERY_REPLY, list(reversed(path))
                     )
-                except UnreachableError:
+                    replies += sink_hops
+                except UnreachableError as err:
                     answered = frozenset()
+                    # The reached prefix's hops, and the hop that failed.
+                    replies += len(err.partial_path)
                 if rel is not None:
                     reply.annotate(answered=len(answered))
                 reply.add_nodes(tree.depths)
@@ -1050,7 +1061,7 @@ class PoolSystem:
             tree_edges=delivery.attempted_edges,
             depth_hops=sink_hops + tree.height(),
             answered=answered,
-        )
+        ), replies
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

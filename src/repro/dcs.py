@@ -15,6 +15,7 @@ from typing import Any, Protocol, runtime_checkable
 from repro.aggregates import AggregateKind, AggregateState
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
+from repro.exceptions import ConfigurationError
 
 __all__ = [
     "InsertReceipt",
@@ -22,6 +23,7 @@ __all__ = [
     "PartialResult",
     "resolve_result",
     "AggregateResult",
+    "aggregate_query",
     "DataCentricStore",
 ]
 
@@ -203,6 +205,30 @@ class AggregateResult:
     @property
     def total_cost(self) -> int:
         return self.forward_cost + self.reply_cost
+
+
+def aggregate_query(
+    store: "DataCentricStore",
+    sink: int,
+    query: RangeQuery,
+    dimension: int,
+    kind: AggregateKind,
+) -> AggregateResult:
+    """Pool's and DIM's ``aggregate``: the range query, its qualifying
+    events folded into one :class:`AggregateState` over ``dimension``."""
+    if not 0 <= dimension < store.dimensions:
+        raise ConfigurationError(
+            f"aggregate dimension {dimension} outside 0..{store.dimensions - 1}"
+        )
+    result = store.query(sink, query)
+    return AggregateResult(
+        kind=kind,
+        dimension=dimension,
+        state=AggregateState.of_events(result.events, dimension),
+        forward_cost=result.forward_cost,
+        reply_cost=result.reply_cost,
+        detail=result.detail,
+    )
 
 
 @runtime_checkable

@@ -40,10 +40,12 @@ from repro.exceptions import (
     DimensionMismatchError,
     UnreachableError,
 )
-from repro.exec import Execution, QueryPlan, check_query_dimensions, run_staged
+from repro.exec import Execution, QueryPlan, check_query_dimensions
+from repro.exec.stages import SinkTree, SinkTreeSystem
 from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
+from repro.routing.multicast import MulticastTree, graft
 
 __all__ = ["DifsIndex", "DifsQueryDetail"]
 
@@ -75,7 +77,7 @@ class DifsQueryDetail:
     post_filtered: int  # events fetched but discarded by other dimensions
 
 
-class DifsIndex:
+class DifsIndex(SinkTreeSystem):
     """A DIFS-style index over one attribute of k-dimensional events.
 
     Parameters
@@ -92,9 +94,6 @@ class DifsIndex:
         Leaf depth; the value space splits into ``branching ** depth``
         leaves.
     """
-
-    #: Plans read only the hashed index tree, fixed at construction.
-    layout_version = 0
 
     def __init__(
         self,
@@ -253,21 +252,11 @@ class DifsIndex:
             home_node=leaf_node, hops=hops, detail=(leaf.lo, leaf.hi)
         )
 
-    def query(self, sink: int, query: RangeQuery) -> QueryResult:
-        """Range query: canonical decomposition on the indexed attribute.
-
-        Only the indexed dimension prunes; the other dimensions are
-        filtered after retrieval (counted in ``detail.post_filtered``) —
-        the single-attribute limitation the Pool paper holds against
-        DIFS-generation systems.
-
-        Thin compatibility wrapper over the staged pipeline
-        (:meth:`plan_query` / :meth:`execute_plan` / :meth:`fold_replies`).
-        """
-        return run_staged(self, sink, query)
-
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
-        """Pure resolving: canonical decomposition at the sink, zero messages."""
+        """Pure resolving: canonical decomposition at the sink, zero messages.
+
+        Also grafts the tree from the sink to the leaf index nodes.
+        """
         check_query_dimensions(self.dimensions, query)
         lo, hi = query.bounds[self.attribute]
         ranges = self.canonical_ranges(lo, hi)
@@ -277,58 +266,42 @@ class DifsIndex:
         for node in ranges:
             leaf_ranges.extend(self._leaves_under(node))
         leaf_nodes = tuple(self.index_node_of(leaf) for leaf in leaf_ranges)
-        destinations = sorted(set(leaf_nodes))
+        destinations = tuple(sorted(set(leaf_nodes)))
         return QueryPlan(
             system="difs",
             sink=sink,
             query=query,
             cells=tuple((leaf.lo, leaf.hi) for leaf in leaf_ranges),
-            destinations=tuple(destinations),
-            share_key=("difs", sink, tuple(destinations)),
-            detail=(
-                tuple((r.lo, r.hi) for r in ranges),
-                tuple(leaf_ranges),
-                leaf_nodes,
+            destinations=destinations,
+            share_key=("difs", sink, destinations),
+            detail=SinkTree(
+                (tuple((r.lo, r.hi) for r in ranges), tuple(leaf_ranges), leaf_nodes),
+                graft(self.network.router, sink, destinations),
             ),
         )
 
-    def execute_plan(self, plan: QueryPlan) -> Execution:
-        """Disseminate to the leaf index nodes; collect the replies."""
-        if plan.is_local:
-            return Execution(answered=frozenset(plan.destinations))
-        delivery = self.network.disseminate(
-            MessageCategory.QUERY_FORWARD, plan.sink, list(plan.destinations)
+    def leg_answers(
+        self, plan: QueryPlan
+    ) -> list[tuple[MulticastTree, dict[int, list[Event]]]]:
+        """The plan's one leg: its tree, and each leaf node's answer from its
+        own leaves (not :meth:`fold_replies`, which the oracle checks)."""
+        _, leaf_ranges, leaf_nodes = plan.detail.resolved
+        storage = self._storage
+        held = (
+            (node, rows)
+            for leaf, node in zip(leaf_ranges, leaf_nodes)
+            if (rows := storage.get((leaf.lo, leaf.hi)))
         )
-        answered, reply = self.network.collect_up_tree(
-            MessageCategory.QUERY_REPLY, delivery
-        )
-        return Execution(
-            forward_cost=delivery.attempted_edges,
-            reply_cost=reply,
-            depth_hops=delivery.tree.height(),
-            answered=answered,
-        )
+        return [(plan.detail.tree, self._table.select_by_holder(plan.query, held))]
 
     def fold_replies(self, plan: QueryPlan, execution: Execution) -> QueryResult:
         """Fetch + post-filter matches from the leaves whose node answered."""
         query: RangeQuery = plan.query
-        canonical, leaf_ranges, leaf_nodes = plan.detail
+        canonical, leaf_ranges, leaf_nodes = plan.detail.resolved
         destinations = list(plan.destinations)
-        if plan.is_local:
-            events, fetched = self._fetch(list(leaf_ranges), query)
-            return QueryResult(
-                events=events,
-                forward_cost=0,
-                reply_cost=0,
-                visited_nodes=tuple(destinations),
-                detail=DifsQueryDetail(
-                    canonical_ranges=canonical,
-                    index_nodes=tuple(destinations),
-                    post_filtered=fetched - len(events),
-                ),
-            )
         answered = execution.answered
-        # A leaf answers only when its index node's reply reached the sink.
+        # A leaf answers only when its index node's reply reached the sink
+        # (a local plan's execution answers for every node).
         answered_leaves = [
             leaf
             for leaf, node in zip(leaf_ranges, leaf_nodes)
@@ -364,10 +337,6 @@ class DifsIndex:
             "post_filtered": result.detail.post_filtered,
             "matches": result.match_count,
         }
-
-    def close(self) -> None:
-        """Detach external hooks so the deployment can be reused."""
-        self.insert_listeners.clear()
 
     def _fetch(
         self, leaf_ranges: list[_IndexRange], query: RangeQuery

@@ -15,23 +15,25 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from repro.aggregates import AggregateKind, AggregateState
+from repro.aggregates import AggregateKind
 from repro.dcs import (
     AggregateResult,
     InsertReceipt,
     PartialResult,
     QueryResult,
+    aggregate_query,
     resolve_result,
 )
-from repro.exceptions import ConfigurationError
 from repro.dim.zones import Zone, ZoneTree
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.events.table import EventTable, row_array
 from repro.exceptions import DimensionMismatchError, UnreachableError
-from repro.exec import Execution, QueryPlan, run_staged
+from repro.exec import Execution, QueryPlan
+from repro.exec.stages import SinkTree, SinkTreeSystem
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
+from repro.routing.multicast import MulticastTree, graft
 
 __all__ = ["DimIndex", "DimQueryDetail"]
 
@@ -48,7 +50,7 @@ class DimQueryDetail:
         return len(self.zone_codes)
 
 
-class DimIndex:
+class DimIndex(SinkTreeSystem):
     """The DIM baseline over a deployed network.
 
     Parameters
@@ -58,9 +60,6 @@ class DimIndex:
     dimensions:
         Event dimensionality ``k``.
     """
-
-    #: Plans read only the zone tree, fixed at construction.
-    layout_version = 0
 
     def __init__(self, network: Network, dimensions: int) -> None:
         self.network = network.scope("dim")
@@ -105,27 +104,13 @@ class DimIndex:
             home_node=leaf.owner, hops=len(path) - 1, detail=leaf.code
         )
 
-    def query(self, sink: int, query: RangeQuery) -> QueryResult:
-        """Execute a range query issued at ``sink``.
-
-        1. Decompose the query into overlapping leaf zones (value k-d
-           descent — done at the sink, which knows the zone structure).
-        2. Forward the query to every distinct zone owner along a merged
-           GPSR tree.
-        3. Each owner filters its zone storage; replies aggregate back up
-           the same tree.
-
-        Thin compatibility wrapper over the staged pipeline
-        (:meth:`plan_query` / :meth:`execute_plan` / :meth:`fold_replies`).
-        """
-        return run_staged(self, sink, query)
-
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
         """Pure resolving: the overlapping leaf zones, at the sink, zero messages.
 
         One mask over the tree's leaf arrays selects the leaf indices;
         the owners are their sorted unique owners, and the zones and
-        codes come from one gather.
+        codes come from one gather.  The tree from the sink to the
+        owners is grafted here, so a kept plan sends it again as is.
         """
         tree = self.tree
         indices = tree.leaf_indices(query)
@@ -144,49 +129,30 @@ class DimIndex:
             cells=codes,
             destinations=owners,
             share_key=("dim", sink, owners),
-            detail=zones,
+            detail=SinkTree(zones, graft(self.network.router, sink, owners)),
         )
 
-    def execute_plan(self, plan: QueryPlan) -> Execution:
-        """Disseminate to the distinct zone owners; collect the replies."""
-        if plan.is_local:
-            # Everything is local to the sink: no radio traffic.
-            return Execution(answered=frozenset(plan.destinations))
-        delivery = self.network.disseminate(
-            MessageCategory.QUERY_FORWARD, plan.sink, list(plan.destinations)
-        )
-        answered, reply_cost = self.network.collect_up_tree(
-            MessageCategory.QUERY_REPLY, delivery
-        )
-        return Execution(
-            forward_cost=delivery.attempted_edges,
-            reply_cost=reply_cost,
-            depth_hops=delivery.tree.height(),
-            answered=answered,
-        )
+    def leg_answers(
+        self, plan: QueryPlan
+    ) -> list[tuple[MulticastTree, dict[int, list[Event]]]]:
+        """The plan's one leg: its tree, and each zone owner's answer from
+        its own zones (not :meth:`fold_replies`, which the oracle checks)."""
+        held = ((zone.owner, self._rows[zone.index]) for zone in plan.detail.resolved)
+        return [(plan.detail.tree, self._table.select_by_holder(plan.query, held))]
 
     def fold_replies(self, plan: QueryPlan, execution: Execution) -> QueryResult:
         """Fold the answered zones' qualifying events into the result."""
         query: RangeQuery = plan.query
-        zones: tuple[Zone, ...] = plan.detail
+        zones: tuple[Zone, ...] = plan.detail.resolved
         owners = list(plan.destinations)
         detail = DimQueryDetail(
             zone_codes=tuple(plan.cells),
             owner_nodes=tuple(owners),
         )
         storage = self._rows
-        if plan.is_local:
-            return QueryResult(
-                events=self._table.select(
-                    query, [rows for zone in zones if (rows := storage[zone.index])]
-                ),
-                forward_cost=0,
-                reply_cost=0,
-                visited_nodes=tuple(owners),
-                detail=detail,
-            )
+        # A zone answers only when its owner's reply reached the sink (a
+        # local plan's execution answers for every owner).
         answered = execution.answered
-        # A zone answers only when its owner's reply reached the sink.
         unreachable_codes: list[str] = []
         unreachable_owners: set[int] = set()
         if answered.issuperset(owners):
@@ -228,19 +194,19 @@ class DimIndex:
         if not isinstance(result, PartialResult) or not result.unreachable_cells:
             return None
         missing = set(result.unreachable_cells)
-        zones: tuple[Zone, ...] = plan.detail
+        zones: tuple[Zone, ...] = plan.detail.resolved
         kept = tuple(zone for zone in zones if zone.code in missing)
         if not kept:
             return None
-        owners = sorted({zone.owner for zone in kept})
+        owners = tuple(sorted({zone.owner for zone in kept}))
         return QueryPlan(
             system="dim",
             sink=plan.sink,
             query=plan.query,
             cells=tuple(zone.code for zone in kept),
-            destinations=tuple(owners),
-            share_key=("dim-retry", plan.sink, tuple(owners)),
-            detail=kept,
+            destinations=owners,
+            share_key=("dim-retry", plan.sink, owners),
+            detail=SinkTree(kept, graft(self.network.router, plan.sink, owners)),
         )
 
     def query_span_attrs(self, result: QueryResult) -> dict[str, object]:
@@ -249,10 +215,6 @@ class DimIndex:
             "zones_visited": result.detail.zones_visited,
             "matches": result.match_count,
         }
-
-    def close(self) -> None:
-        """Detach external hooks so the deployment can be reused."""
-        self.insert_listeners.clear()
 
     def aggregate(
         self,
@@ -263,20 +225,7 @@ class DimIndex:
         kind: AggregateKind = AggregateKind.COUNT,
     ) -> AggregateResult:
         """In-network aggregate over the query's zones (same tree cost)."""
-        if not 0 <= dimension < self.dimensions:
-            raise ConfigurationError(
-                f"aggregate dimension {dimension} outside 0..{self.dimensions - 1}"
-            )
-        result = self.query(sink, query)
-        state = AggregateState.of_events(result.events, dimension)
-        return AggregateResult(
-            kind=kind,
-            dimension=dimension,
-            state=state,
-            forward_cost=result.forward_cost,
-            reply_cost=result.reply_cost,
-            detail=result.detail,
-        )
+        return aggregate_query(self, sink, query, dimension, kind)
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

@@ -137,5 +137,14 @@ class EventTable:
         index = self._match(query, row_arrays)  # syncs ``_objects`` first
         return self._objects.take(index).tolist()
 
+    def select_by_holder(
+        self, query: RangeQuery, held: Iterable[tuple[int, array[int]]]
+    ) -> dict[int, list[Event]]:
+        """Each holder's matching events; ``held`` pairs nodes with rows they store."""
+        grouped: dict[int, list[array[int]]] = {}
+        for node, rows in held:
+            grouped.setdefault(node, []).append(rows)
+        return {node: self.select(query, rows) for node, rows in grouped.items()}
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EventTable(k={self.dimensions}, rows={len(self._events)})"

@@ -8,6 +8,8 @@ from repro.exec.plan import ALL_CELLS, WAREHOUSE_CELL, QueryPlan
 from repro.exec.stages import (
     Execution,
     InsertListener,
+    SinkTree,
+    SinkTreeSystem,
     StagedQuerySystem,
     check_query_dimensions,
     run_staged,
@@ -19,6 +21,8 @@ __all__ = [
     "QueryPlan",
     "Execution",
     "InsertListener",
+    "SinkTree",
+    "SinkTreeSystem",
     "StagedQuerySystem",
     "check_query_dimensions",
     "run_staged",

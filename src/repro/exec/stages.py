@@ -35,13 +35,17 @@ from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.exceptions import DimensionMismatchError
 from repro.exec.plan import QueryPlan
+from repro.network.messages import MessageCategory
 from repro.telemetry.spans import open_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.network import Network
+    from repro.routing.multicast import MulticastTree
 
 __all__ = [
     "Execution",
+    "SinkTree",
+    "SinkTreeSystem",
     "StagedQuerySystem",
     "InsertListener",
     "run_staged",
@@ -116,6 +120,62 @@ class StagedQuerySystem(Protocol):
     def query_span_attrs(self, result: QueryResult) -> dict[str, Any]:
         """System-specific attributes for the query lifecycle span."""
         ...
+
+
+@dataclass(frozen=True, slots=True)
+class SinkTree:
+    """``QueryPlan.detail`` of a system answered over one tree from its sink.
+
+    DIM and DIFS resolve at the sink and graft one tree from it to the
+    plan's destinations.  ``resolved`` is the system's own resolving
+    output (DIM's zones; DIFS's ranges, leaves and leaf nodes).
+    """
+
+    resolved: Any
+    tree: "MulticastTree"
+
+
+class SinkTreeSystem:
+    """What DIM and DIFS share: plans carry a :class:`SinkTree`, and
+    execution sends that tree and collects the replies up it."""
+
+    network: "Network"
+    insert_listeners: list[InsertListener]
+
+    def query(self, sink: int, query: RangeQuery) -> QueryResult:
+        """Resolve at ``sink``, send the plan's tree, fold the answers.
+
+        Thin compatibility wrapper over the staged pipeline
+        (:meth:`plan_query` / :meth:`execute_plan` / :meth:`fold_replies`).
+        """
+        return run_staged(self, sink, query)  # type: ignore[arg-type]
+
+    def close(self) -> None:
+        """Detach external hooks so the deployment can be reused."""
+        self.insert_listeners.clear()
+
+    @property
+    def layout_version(self) -> int:
+        """Plans hold trees grafted over this facade's routes, so they
+        expire when :meth:`Network.fail_nodes` changes them."""
+        return self.network.router_version
+
+    def execute_plan(self, plan: QueryPlan) -> Execution:
+        """Send the plan's tree from the sink; collect the replies."""
+        if plan.is_local:
+            # Everything is local to the sink: no radio traffic.
+            return Execution(answered=frozenset(plan.destinations))
+        network = self.network
+        delivery = network.disseminate(MessageCategory.QUERY_FORWARD, plan.detail.tree)
+        answered, reply_cost = network.collect_up_tree(
+            MessageCategory.QUERY_REPLY, delivery
+        )
+        return Execution(
+            forward_cost=delivery.attempted_edges,
+            reply_cost=reply_cost,
+            depth_hops=delivery.tree.height(),
+            answered=answered,
+        )
 
 
 def check_query_dimensions(dimensions: int, query: RangeQuery) -> None:

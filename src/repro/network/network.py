@@ -7,9 +7,8 @@ handful of communication primitives Pool, DIM and GHT need:
 
 * :meth:`unicast` / :meth:`unicast_to_point` — one logical message, hop
   count recorded under a category;
-* :meth:`disseminate` — push one message down a merged forwarding tree,
-  reporting which nodes it reached (:meth:`send_tree` sends a tree
-  built beforehand);
+* :meth:`disseminate` — push one message down a planned forwarding tree,
+  reporting which nodes it reached;
 * :meth:`collect_up_tree` — aggregate the replies back up that tree,
   reporting which nodes' replies reached the root.
 
@@ -34,7 +33,7 @@ from repro.network.messages import MessageCategory
 from repro.network.reliability import ReliabilityLayer
 from repro.network.topology import Topology
 from repro.routing.gpsr import GPSRRouter
-from repro.routing.multicast import MulticastTree, TreeBuilder, TreeDelivery
+from repro.routing.multicast import MulticastTree, TreeDelivery
 from repro.routing.planarization import PlanarizationKind
 from repro.telemetry.spans import open_span
 
@@ -251,33 +250,18 @@ class Network:
             )
 
     def disseminate(
-        self,
-        category: MessageCategory,
-        src: int,
-        destinations: Sequence[int],
-    ) -> TreeDelivery:
-        """Build the merged tree from ``src`` to ``destinations``, then send it.
-
-        Building is pure planning over cached GPSR paths; the charging is
-        :meth:`send_tree`'s.
-        """
-        builder = TreeBuilder(self.router, src)
-        builder.add_destinations(destinations)
-        return self.send_tree(category, builder.build())
-
-    def send_tree(
         self, category: MessageCategory, tree: MulticastTree
     ) -> TreeDelivery:
-        """Push one message down a built tree, reporting who received it.
+        """Push one message down a planned tree, reporting who received it.
 
-        The one send path of every dissemination: :meth:`disseminate`
-        builds a tree and calls this, and Pool sends the tree its plan
-        already carries.  Edges go in BFS order (parents before
-        children, siblings sorted).  Without a reliability layer every
-        tree node is reached and the tree is logged whole (one
-        transmission per edge).  With one, each edge runs ARQ, and an
-        edge whose budget is exhausted prunes its subtree, since a
-        branch that never heard the query cannot relay it.  A flight
+        The one tree send: Pool, DIM and DIFS each send the trees their
+        plans grafted (:func:`~repro.routing.multicast.graft`).  Edges go
+        in BFS order (parents before children, siblings sorted).  Without
+        a reliability layer every tree node is reached and the tree is
+        logged whole (one transmission per edge).  With one, each edge
+        runs ARQ, and an edge whose budget is exhausted prunes its
+        subtree, since a branch that never heard the query cannot relay
+        it.  A flight
         recorder sees the dissemination as one packet from the root.
         Charging runs inside a ``cell-fanout`` span, the dissemination
         leg of Section 3.2.3.

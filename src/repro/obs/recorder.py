@@ -4,7 +4,7 @@ A :class:`FlightRecorder` is the aviation-style black box of one system's
 run, and the one place to look for the exact hops a packet took: every
 logical packet sent through :meth:`Network.send_along` opens a packet
 entry, so does every tree dissemination and reply collection
-(:meth:`Network.send_tree`, :meth:`Network.collect_up_tree`), and every
+(:meth:`Network.disseminate`, :meth:`Network.collect_up_tree`), and every
 one-hop transmission appends an event — the hop
 taken and its GPSR mode (greedy/perimeter), plus (under a reliability
 layer) per-hop losses, retransmissions, recovery ACKs and exhausted-ARQ

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.routing.gpsr import GPSRRouter
 
-__all__ = ["MulticastTree", "TreeDelivery", "TreeBuilder"]
+__all__ = ["MulticastTree", "TreeDelivery", "TreeBuilder", "graft"]
 
 
 @dataclass(slots=True)
@@ -235,7 +235,7 @@ class TreeBuilder:
 
         Pure planning: nothing is charged or recorded here.  The caller
         charges the tree when it sends the query down it
-        (:meth:`repro.network.network.Network.send_tree`, which also
+        (:meth:`repro.network.network.Network.disseminate`, which also
         opens the ``cell-fanout`` span).
         """
         return MulticastTree(
@@ -244,3 +244,14 @@ class TreeBuilder:
             parents=dict(self._parents),
             depths=dict(self._depths),
         )
+
+
+def graft(router: GPSRRouter, root: int, destinations: Iterable[int]) -> MulticastTree:
+    """The merged GPSR tree from ``root`` to ``destinations``, in order.
+
+    The one place a plan's tree is grafted: Pool grafts one per leg from
+    its splitter, DIM and DIFS one per plan from the sink.
+    """
+    builder = TreeBuilder(router, root)
+    builder.add_destinations(destinations)
+    return builder.build()

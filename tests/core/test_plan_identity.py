@@ -4,12 +4,16 @@ The oracle below is the planner as it was before resolving moved onto the
 cached Equation 1 tables: Algorithm 2 by scanning every cell, a
 ``Pool.cell_at`` per relevant cell and a ``segments_overlapping`` list per
 stored cell, with each leg's tree grafted one destination at a time from
-its splitter, as ``Network.disseminate`` grafts it.  Every field of every
-plan must match it, trees included, and so must the retry plan
-``plan_retry`` builds from each (its ``cell_holders`` come from the plan),
-in worlds drawn with split segments, a handed-off cell, failed nodes (with
-and without replication), empty cells and queries whose bounds sit on cell
-edges or on the closed top, 1.0.
+its splitter (``TreeBuilder.add_destination``, one GPSR path per call).
+Every field of every plan must match it, trees included, and so must the
+retry plan ``plan_retry`` builds from each (its ``cell_holders`` come from
+the plan), in worlds drawn with split segments, a handed-off cell, failed
+nodes (with and without replication), empty cells and queries whose
+bounds sit on cell edges or on the closed top, 1.0.
+
+DIM's and DIFS's plans (and DIM's retry plans) carry one tree from the
+sink, which must equal the same one-path-at-a-time graft to their
+destinations.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from repro.core.resolve import query_ranges_for_pool
 from repro.core.sharing import SharingPolicy
 from repro.core.system import PoolLegPlan, PoolSystem
 from repro.dcs import PartialResult
+from repro.difs.index import DifsIndex
+from repro.dim.index import DimIndex
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.exec import QueryPlan
@@ -85,8 +91,8 @@ def oracle_plan(system: PoolSystem, sink: int, query: RangeQuery) -> QueryPlan:
     return _assemble(system, "pool", sink, query, tuple(legs))
 
 
-def oracle_tree(system: PoolSystem, root: int, destinations) -> MulticastTree:
-    """The tree ``Network.disseminate`` grafts from ``root``, one path at a time."""
+def oracle_tree(system, root: int, destinations) -> MulticastTree:
+    """The tree from ``root`` to ``destinations``, grafted one path at a time."""
     builder = TreeBuilder(system.network.router, root)
     for node in destinations:
         builder.add_destination(node)
@@ -302,3 +308,34 @@ class TestPlanIdentity:
             system.plan_query(0, world["query"]),
             oracle_plan(system, 0, world["query"]),
         )
+
+
+class TestSinkTreePlans:
+    @pytest.mark.parametrize("kind", [DimIndex, DifsIndex])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(min_value=0, max_value=199), st.data())
+    def test_tree_is_the_graft_from_the_sink(self, topo, kind, sink, data):
+        system = kind(Network(topo), 3)
+        bounds = []
+        for _ in range(3):
+            lo, hi = sorted(data.draw(st.tuples(*[st.floats(0.0, 1.0)] * 2)))
+            bounds.append((lo, hi))
+        plan = system.plan_query(sink, RangeQuery(tuple(bounds)))
+        assert_same_tree(plan.detail.tree, oracle_tree(system, sink, plan.destinations))
+        if kind is DimIndex:
+            result = PartialResult(
+                events=[],
+                forward_cost=0,
+                reply_cost=0,
+                unreachable_cells=plan.cells[::2],
+                attempted_cells=len(plan.cells),
+            )
+            retry = system.plan_retry(plan, result)
+            assert retry is not None
+            assert_same_tree(
+                retry.detail.tree, oracle_tree(system, sink, retry.destinations)
+            )

@@ -1,4 +1,10 @@
-"""Event-driven Pool queries must match the synchronous accounting exactly."""
+"""Event-driven queries must match the synchronous accounting exactly.
+
+Every equivalence class runs on Pool (with and without splitters), DIM
+and DIFS, each over the same 350-node field; the property tests in
+``test_protocol_properties.py`` draw other fields, loss rates and fault
+plans.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,8 @@ import pytest
 
 from repro.core.protocol import run_query_on_simulator
 from repro.core.system import PoolSystem
+from repro.difs.index import DifsIndex
+from repro.dim.index import DimIndex
 from repro.events.generators import (
     exact_match_queries,
     generate_events,
@@ -20,12 +28,17 @@ from repro.network.simulator import Simulator
 from repro.network.topology import deploy_uniform
 
 
-def build_world(*, route_via_splitter: bool = True):
+def build_world(kind: str = "pool", *, route_via_splitter: bool = True):
     topology = deploy_uniform(350, seed=23)
     network = Network(topology)
-    system = PoolSystem(
-        network, 3, seed=23, route_via_splitter=route_via_splitter
-    )
+    if kind == "dim":
+        system = DimIndex(network, 3)
+    elif kind == "difs":
+        system = DifsIndex(network, 3)
+    else:
+        system = PoolSystem(
+            network, 3, seed=23, route_via_splitter=route_via_splitter
+        )
     events = generate_events(1050, 3, seed=24, sources=list(topology))
     for event in events:
         system.insert(event)
@@ -83,7 +96,9 @@ class TestEquivalence:
         fig4 = RangeQuery.of((0.2, 0.3), (0.25, 0.35), (0.21, 0.24))
         run = run_query_on_simulator(system, simulator, 0, fig4)
         sync = system.query(0, fig4)
-        assert run.pools_visited == sync.detail.pools_visited
+        # One leg per Pool visited; DIM and DIFS plan a single leg.
+        legs = sync.detail.pools_visited if isinstance(system, PoolSystem) else 1
+        assert run.legs == legs
 
     def test_empty_query_costs_nothing(self, world):
         system, simulator, _ = world
@@ -103,6 +118,22 @@ class TestEquivalenceWithoutSplitter(TestEquivalence):
     @pytest.fixture(scope="class")
     def world(self):
         return build_world(route_via_splitter=False)
+
+
+class TestEquivalenceDim(TestEquivalence):
+    """The same checks on DIM: one tree from the sink to the zone owners."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world("dim")
+
+
+class TestEquivalenceDifs(TestEquivalence):
+    """The same checks on DIFS: one tree from the sink to the leaf nodes."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world("difs")
 
 
 class TestValidation:
@@ -209,3 +240,15 @@ class TestUnderReliabilityLayer:
         assert sorted(e.values for e in run.events) == sorted(
             e.values for e in system.query(0, self.QUERY).events
         )
+
+
+class TestUnderReliabilityLayerDim(TestUnderReliabilityLayer):
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world("dim")
+
+
+class TestUnderReliabilityLayerDifs(TestUnderReliabilityLayer):
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world("difs")

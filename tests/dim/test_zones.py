@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.dim.index import DimIndex
 from repro.dim.zones import Zone, ZoneTree
 from repro.events.queries import RangeQuery
-from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.exceptions import ConfigurationError, DeliveryError, DimensionMismatchError
 from repro.network.network import Network
 from repro.network.topology import deploy_uniform
 
@@ -202,7 +202,13 @@ class TestQueryDecomposition:
         )
         assert zones == expected
         assert zones == _stack_descent(tree, query)
-        plan = DimIndex(Network(topology), dimensions).plan_query(0, query)
+        try:
+            plan = DimIndex(Network(topology), dimensions).plan_query(0, query)
+        except DeliveryError:
+            # A plan grafts its tree from the sink, so it fails only
+            # when an owner is cut off from the sink.
+            assert not topology.is_connected()
+            return
         assert plan.destinations == tuple(sorted({z.owner for z in zones}))
         assert plan.cells == tuple(z.code for z in zones)
 

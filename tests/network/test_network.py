@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
+from repro.routing.multicast import graft
 
 
 class TestUnicast:
@@ -27,7 +28,7 @@ class TestUnicast:
 class TestMulticast:
     def test_tree_cost_recorded(self, net300):
         delivery = net300.disseminate(
-            MessageCategory.QUERY_FORWARD, 0, [50, 100, 150]
+            MessageCategory.QUERY_FORWARD, graft(net300.router, 0, [50, 100, 150])
         )
         assert (
             net300.stats.count(MessageCategory.QUERY_FORWARD)
@@ -35,13 +36,15 @@ class TestMulticast:
         )
 
     def test_reply_up_tree(self, net300):
-        delivery = net300.disseminate(MessageCategory.QUERY_FORWARD, 0, [50, 100])
+        tree = graft(net300.router, 0, [50, 100])
+        delivery = net300.disseminate(MessageCategory.QUERY_FORWARD, tree)
         _, cost = net300.collect_up_tree(MessageCategory.QUERY_REPLY, delivery)
         assert cost == delivery.tree.reply_cost
         assert net300.stats.count(MessageCategory.QUERY_REPLY) == cost
 
     def test_empty_destinations(self, net300):
-        delivery = net300.disseminate(MessageCategory.QUERY_FORWARD, 0, [])
+        tree = graft(net300.router, 0, [])
+        delivery = net300.disseminate(MessageCategory.QUERY_FORWARD, tree)
         assert delivery.tree.forward_cost == 0
         assert net300.stats.total == 0
 

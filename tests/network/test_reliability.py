@@ -30,6 +30,7 @@ from repro.network.reliability import (
     ReliabilityLayer,
 )
 from repro.network.topology import deploy_uniform
+from repro.routing.multicast import graft
 from repro.rng import derive
 
 
@@ -293,7 +294,8 @@ class TestDisseminate:
         topo = deploy_uniform(60, seed=8)
         net = Network(topo)
         destinations = [5, 17, 42, 59]
-        delivery = net.disseminate(MessageCategory.QUERY_FORWARD, 0, destinations)
+        tree = graft(net.router, 0, destinations)
+        delivery = net.disseminate(MessageCategory.QUERY_FORWARD, tree)
         assert delivery.complete
         assert set(destinations) <= delivery.reached
         assert net.stats.count(MessageCategory.QUERY_FORWARD) == len(
@@ -314,7 +316,8 @@ class TestDisseminate:
             fault_plan=FaultPlan(drops=(DropRule(category="query_forward", every=1),)),
         )
         net = Network(topo, reliability=rel)
-        delivery = net.disseminate(MessageCategory.QUERY_FORWARD, 0, [5, 17, 42])
+        tree = graft(net.router, 0, [5, 17, 42])
+        delivery = net.disseminate(MessageCategory.QUERY_FORWARD, tree)
         assert delivery.reached == frozenset({0})
         assert not delivery.complete
         assert set(delivery.unreachable_destinations()) == {5, 17, 42}
@@ -329,7 +332,8 @@ class TestDisseminate:
             fault_plan=FaultPlan(drops=(DropRule(category="query_reply", every=1),)),
         )
         net = Network(topo, reliability=rel)
-        delivery = net.disseminate(MessageCategory.QUERY_FORWARD, 0, [5, 17, 42])
+        tree = graft(net.router, 0, [5, 17, 42])
+        delivery = net.disseminate(MessageCategory.QUERY_FORWARD, tree)
         assert delivery.complete  # forwards were clean
         answered, _ = net.collect_up_tree(MessageCategory.QUERY_REPLY, delivery)
         # Every reply hop is dropped, so only the root's own answer counts.

@@ -215,6 +215,35 @@ class TestServiceReusesKeptPlans:
             assert len(planned) == 2
         pool.close()
 
+    def test_dim_route_change_forces_a_replan(self, net300):
+        """A kept DIM plan carries its tree: failing a relay expires it."""
+        dim = DimIndex(net300, 3)
+        query = RangeQuery.of((0.0, 0.1), (0.9, 1.0), (0.0, 0.1))
+        event = Event.of(0.05, 0.95, 0.05, source=3)
+        cache = PlanResultCache()
+        calls = _record_calls(dim)
+        with QueryService(dim, cache=cache) as service:
+            def ask(t):
+                service.run(make_schedule([make_request(t, float(t), query=query)]))
+
+            ask(0)
+            version = dim.layout_version
+            dim.insert(event)
+            ask(1)
+            assert len(calls["plan"]) == 1
+            kept = calls["execute"][-1]
+            relays = set(kept.detail.tree.parents) - set(kept.destinations)
+            victim = min(relays)
+            dim.network.fail_nodes([victim])
+            assert dim.layout_version != version
+            dim.insert(event)
+            ask(2)
+            assert len(calls["plan"]) == 2
+            fresh = calls["execute"][-1]
+            assert fresh.destinations == kept.destinations
+            assert victim not in fresh.detail.tree.depths
+        dim.close()
+
 
 class TestAttachment:
     def test_pool_insert_invalidates_covering_entry(self, net300):

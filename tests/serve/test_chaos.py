@@ -245,7 +245,7 @@ class TestRetryPlans:
         for event in generate_events(200, 3, seed=5, sources=list(net300.topology)):
             index.insert(event)
         plan = index.plan_query(0, QUERY)
-        zones = plan.detail
+        zones = plan.detail.resolved
         assert len(zones) > 1
         missing = zones[0]
         result = _partial(

@@ -18,7 +18,9 @@ from repro.dim.index import DimIndex
 from repro.events.event import Event
 from repro.events.queries import RangeQuery
 from repro.ght.ght import GeographicHashTable
+from repro.network.messages import MessageCategory
 from repro.network.network import Network
+from repro.routing.multicast import graft
 
 
 class TestQueryResult:
@@ -112,10 +114,7 @@ class TestDepthHops:
     def test_depth_at_least_farthest_destination(self, topo300):
         net = Network(topo300)
         tree = net.disseminate(
-            __import__("repro.network.messages", fromlist=["MessageCategory"])
-            .MessageCategory.QUERY_FORWARD,
-            0,
-            [100, 200, 299],
+            MessageCategory.QUERY_FORWARD, graft(net.router, 0, [100, 200, 299])
         ).tree
         assert tree.height() >= max(
             net.router.hops(0, d) for d in (100, 200, 299)

@@ -141,7 +141,18 @@ class TestMain:
         calls = _fake(monkeypatch, [_stdout()] * 3)
         assert perf_gate.main([]) == 0
         assert calls == [(name, 1, 2, 0) for name in WORKLOADS]
-        assert "perf gate: pass" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "perf gate: pass" in out
+        # The row predates line counts; the count is shown, never gated.
+        assert f"src/ .py lines: {perf_gate.src_lines()} (was not recorded)" in out
+
+    def test_line_count_is_shown_beside_the_newest_rows(self, history, monkeypatch, capsys):
+        payload = json.loads(history.read_text())
+        payload["history"][-1]["src_lines"] = 1
+        history.write_text(json.dumps(payload))
+        _fake(monkeypatch, [_stdout()] * 3)
+        assert perf_gate.main([]) == 0
+        assert f"src/ .py lines: {perf_gate.src_lines()} (was 1)" in capsys.readouterr().out
 
     def test_regression_fails_after_one_rerun(self, history, monkeypatch, capsys):
         slow = _stdout(query_per_s=700.0)
@@ -207,6 +218,7 @@ class TestMain:
         }
         row = after["history"][1]
         assert row["label"] == "t1" and row["commit"]
+        assert row["src_lines"] == perf_gate.src_lines() > 0
         entry = row["workloads"][WORKLOADS[0]]
         assert entry["speed_factor"] == 0.25
         assert entry["metrics"] == {**BASE, "query_per_s": 1200.0}

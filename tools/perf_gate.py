@@ -20,9 +20,11 @@ with the newest ``history`` row of that file:
 - a wrong answer (``correct`` false or ``failed`` > 0) fails at once.
 
 A workload with a suspect metric is rerun once, keeping the better value
-of each.  ``--record`` appends a row with the label, the commit, each
-workload's metrics and its ``--trace 1`` layer table; earlier rows are
-never rewritten.  Exit status 0 is a pass, 1 a failure.
+of each.  ``--record`` appends a row with the label, the commit, the
+``src/`` ``.py`` line count, each workload's metrics and its ``--trace 1``
+layer table; earlier rows are never rewritten.  The compare mode prints
+the line count beside the newest row's, for information only.  Exit
+status 0 is a pass, 1 a failure.
 """
 
 from __future__ import annotations
@@ -170,6 +172,11 @@ def _gate(
     return now, problems
 
 
+def src_lines() -> int:
+    """Lines of the ``.py`` files under ``src/`` (what ``wc -l`` counts)."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+
+
 def _commit() -> str:
     completed = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=False
@@ -185,7 +192,12 @@ def main(argv: list[str] | None = None) -> int:
     history = load(HISTORY)
     workloads = [entry["name"] for entry in spec["workloads"]]
     if args.record:
-        row: dict[str, Any] = {"label": args.record, "commit": _commit(), "workloads": {}}
+        row: dict[str, Any] = {
+            "label": args.record,
+            "commit": _commit(),
+            "src_lines": src_lines(),
+            "workloads": {},
+        }
         for workload in workloads:
             result, traced = _run(history, workload, 0), _run(history, workload, 1)
             problems = _wrong(result) + _wrong(traced)
@@ -205,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"{HISTORY}: no history row to compare with; run --record")
     newest = history["history"][-1]
     print(f"baseline: {newest['label']} ({newest['commit'][:12]})")
+    print(f"src/ .py lines: {src_lines()} (was {newest.get('src_lines', 'not recorded')})")
     exit_code = 0
     for workload in workloads:
         base = newest["workloads"][workload]

@@ -683,6 +683,7 @@ class PoolSystem:
             splitter = (
                 self.splitter(sink, pool.index) if self.route_via_splitter else sink
             )
+            holders = tuple(destinations)
             legs.append(
                 PoolLegPlan(
                     pool=pool.index,
@@ -690,9 +691,9 @@ class PoolSystem:
                     offsets=tuple(offsets),
                     cells=tuple(cells),
                     vertical=derived.vertical,
-                    destinations=tuple(destinations),
+                    destinations=holders,
                     cell_holders=tuple(cell_holders),
-                    tree=graft(self.network.router, splitter, destinations),
+                    tree=graft(self.network.router, splitter, holders),
                 )
             )
         return self._assemble_plan("pool", sink, query, tuple(keys), tuple(legs))
@@ -870,14 +871,15 @@ class PoolSystem:
                     destinations[node] = None
             offsets = tuple(leg.offsets[i] for i in keep)
             keys.extend((leg.pool, ho, vo) for ho, vo in offsets)
+            holders = tuple(destinations)
             legs.append(
                 replace(
                     leg,
                     offsets=offsets,
                     cells=tuple(leg.cells[i] for i in keep),
-                    destinations=tuple(destinations),
+                    destinations=holders,
                     cell_holders=cell_holders,
-                    tree=graft(self.network.router, leg.splitter, destinations),
+                    tree=graft(self.network.router, leg.splitter, holders),
                 )
             )
         if not legs:

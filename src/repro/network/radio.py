@@ -210,6 +210,8 @@ class MessageStats:
     def __init__(self, *, label: str | None = None) -> None:
         self.label = label
         self._counts: Counter[MessageCategory] = Counter()
+        # The sum of ``_counts``, kept as charges land.
+        self._total = 0
         # What was sent, in record order, not yet folded into the counts:
         # paths and ``(edge ends, kind)`` trees, the indices of the trees,
         # and the log's weight.
@@ -261,6 +263,7 @@ class MessageStats:
             self.record_path(category, (sender, receiver))
             return
         self._counts[category] += hops
+        self._total += hops
         if sender is None and receiver is None:
             return
         self._fold()
@@ -281,6 +284,7 @@ class MessageStats:
         if ids <= 1:
             return
         self._counts[category] += ids - 1
+        self._total += ids - 1
         self._log.append(path)
         self._log_weight += ids * _PATH_ID_WEIGHT + _ENTRY_WEIGHT
         if self._log_weight >= LOG_FOLD_WEIGHT:
@@ -300,6 +304,7 @@ class MessageStats:
         if not hops:
             return
         self._counts[category] += hops
+        self._total += hops
         log = self._log
         if reply and self._tree is tree and log and log[-1] is self._tree_entry:
             # The replies retrace the dissemination just logged: the
@@ -399,9 +404,7 @@ class MessageStats:
     @property
     def total(self) -> int:
         """Transmissions across all categories."""
-        return sum(self._counts.values()) + sum(
-            child.total for child in self._scopes
-        )
+        return self._total + sum(child.total for child in self._scopes)
 
     def query_cost(self) -> int:
         """The paper's query-processing cost: forward + reply messages."""
@@ -440,6 +443,7 @@ class MessageStats:
     def reset(self) -> None:
         """Zero every counter in this scope and all scopes below it."""
         self._counts.clear()
+        self._total = 0
         self._log = []
         self._log_trees = []
         self._log_weight = 0

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Literal, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from repro.geometry import (
 )
 from repro.network.topology import Topology
 from repro.routing.planarization import PlanarizationKind, planar_row
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.routing.multicast import TreeMemo
 
 __all__ = ["GPSRRouter", "PacketState", "RouteResult", "StepOutcome"]
 
@@ -191,6 +194,11 @@ class GPSRRouter:
         # Padded neighbour matrix and coordinate columns of the lockstep
         # walk, built on the first lockstep.
         self._lockstep_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: The trees grafted over this router's paths, made by the first
+        #: :func:`~repro.routing.multicast.graft`.  A tree reads only
+        #: cached paths, which never change, so it stays valid as long
+        #: as the router; :meth:`without_nodes` starts a new memo.
+        self.tree_memo: TreeMemo | None = None
 
     # ------------------------------------------------------------------ #
     # Public API                                                         #

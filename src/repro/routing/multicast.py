@@ -15,6 +15,7 @@ is apples-to-apples (see DESIGN.md §5).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -23,7 +24,14 @@ import numpy as np
 
 from repro.routing.gpsr import GPSRRouter
 
-__all__ = ["MulticastTree", "TreeDelivery", "TreeBuilder", "graft"]
+__all__ = [
+    "MEMO_TREE_IDS",
+    "MulticastTree",
+    "TreeDelivery",
+    "TreeBuilder",
+    "TreeMemo",
+    "graft",
+]
 
 
 @dataclass(slots=True)
@@ -162,6 +170,55 @@ class TreeDelivery:
         return tuple(n for n in self.tree.destinations if n not in self.reached)
 
 
+#: Ids a router's :class:`TreeMemo` holds, counting each tree's
+#: destinations key and its nodes; past this the least recently used
+#: trees are dropped.  On the 900-node Figure 7 field every distinct
+#: Pool leg tree of an 1,800-query stream fits (540 trees, 8,668 ids),
+#: and 89% of Pool's grafts hit.  DIM's sink trees (about 340 ids each)
+#: rarely repeat within any bound this size: doubling the bound to
+#: 20,000 ids took DIM's hits from 18 to 38 of 1,890 grafts and added
+#: about 1 MB of peak memory.
+MEMO_TREE_IDS = 10_000
+
+
+class TreeMemo:
+    """A router's grafted trees by ``(root, destinations)``, least recently
+    used first, holding at most :data:`MEMO_TREE_IDS` ids.
+
+    ``ids`` is the ids the memo holds: per tree, its destinations key
+    plus its nodes.  A tree heavier than the whole bound is not kept.
+    """
+
+    __slots__ = ("_trees", "ids")
+
+    def __init__(self) -> None:
+        self._trees: OrderedDict[tuple[int, tuple[int, ...]], MulticastTree] = (
+            OrderedDict()
+        )
+        self.ids = 0
+
+    def get(self, key: tuple[int, tuple[int, ...]]) -> MulticastTree | None:
+        """The tree kept under ``key`` (now the most recently used), or None."""
+        tree = self._trees.get(key)
+        if tree is not None:
+            self._trees.move_to_end(key)
+        return tree
+
+    def put(self, key: tuple[int, tuple[int, ...]], tree: MulticastTree) -> None:
+        """Keep ``tree`` under ``key``, dropping the least recently used
+        trees past the bound."""
+        weight = len(key[1]) + len(tree.depths)
+        if weight > MEMO_TREE_IDS:
+            return
+        trees = self._trees
+        ids = self.ids + weight
+        while ids > MEMO_TREE_IDS:
+            (_, old_destinations), old = trees.popitem(last=False)
+            ids -= len(old_destinations) + len(old.depths)
+        trees[key] = tree
+        self.ids = ids
+
+
 class TreeBuilder:
     """Incrementally merge unicast paths into a :class:`MulticastTree`.
 
@@ -189,16 +246,22 @@ class TreeBuilder:
     def add_destinations(self, nodes: Iterable[int]) -> None:
         """Graft the GPSR path ``root -> node`` of each node, in order.
 
-        Each path is scanned backward from its destination to the first
-        node already in the tree, and grafted from there on, so shared
-        prefixes are never re-added and the structure stays a tree (each
-        node has one parent).
+        A node already in the tree costs one lookup.  Otherwise its path
+        is grafted from the last node on it already in the tree, so
+        shared prefixes are never re-added and the structure stays a tree
+        (each node has one parent).  Usually that is the node before the
+        destination, found with one more lookup; only the rest scan the
+        path backward.
 
         A destination's path is first probed in the router's path cache
         inline, so a warm tree makes no routing call.  At the first miss,
         that destination and every later one not yet in the tree go to
         :meth:`GPSRRouter.paths` at once, which walks a large cold batch
-        in lockstep; the later probes then hit.
+        in lockstep; the later probes then hit.  That routes and caches
+        the later destinations that an earlier path of the batch grafts
+        as relays too: later trees reuse those paths, and routing only
+        the grafted ones made the Figure 6 ingest workload's queries
+        slower.
         """
         destinations = self._destinations
         parents = self._parents
@@ -206,7 +269,7 @@ class TreeBuilder:
         router = self.router
         root = self.root
         probe = router.path_cache.get
-        pending = list(nodes)
+        pending = tuple(nodes)
         for position, node in enumerate(pending):
             if node in depths:
                 destinations[node] = None
@@ -217,21 +280,27 @@ class TreeBuilder:
                 # Route planning, not a send: the grafted edges are charged
                 # in bulk when the finished tree is disseminated.
                 path = router.paths(root, rest)[0]  # repro-lint: ignore[REP101]
-            # The root at index 0 is always in the tree.
-            splice = len(path) - 1
-            while path[splice] not in depths:
-                splice -= 1
-            parent = path[splice]
-            for child in path[splice + 1 :]:
-                # A node the path re-enters keeps its existing parent.
-                if child not in depths:
-                    parents[child] = parent
-                    depths[child] = depths[parent] + 1
-                parent = child
+            # ``node`` is not in the tree and the root at index 0 is.
+            parent = path[-2]
+            if parent in depths:
+                parents[node] = parent
+                depths[node] = depths[parent] + 1
+            else:
+                splice = len(path) - 3
+                while path[splice] not in depths:
+                    splice -= 1
+                parent = path[splice]
+                for child in path[splice + 1 :]:
+                    # A node the path re-enters keeps its existing parent.
+                    if child not in depths:
+                        parents[child] = parent
+                        depths[child] = depths[parent] + 1
+                    parent = child
             destinations[node] = None
 
     def build(self) -> MulticastTree:
-        """Freeze the current tree.
+        """Freeze the tree, which takes over the builder's dicts: add
+        nothing after this.
 
         Pure planning: nothing is charged or recorded here.  The caller
         charges the tree when it sends the query down it
@@ -241,8 +310,8 @@ class TreeBuilder:
         return MulticastTree(
             root=self.root,
             destinations=tuple(self._destinations),
-            parents=dict(self._parents),
-            depths=dict(self._depths),
+            parents=self._parents,
+            depths=self._depths,
         )
 
 
@@ -250,8 +319,22 @@ def graft(router: GPSRRouter, root: int, destinations: Iterable[int]) -> Multica
     """The merged GPSR tree from ``root`` to ``destinations``, in order.
 
     The one place a plan's tree is grafted: Pool grafts one per leg from
-    its splitter, DIM and DIFS one per plan from the sink.
+    its splitter, DIM and DIFS one per plan from the sink.  The router's
+    :class:`TreeMemo` keeps trees by ``(root, destinations)``, so a
+    repeated tree comes back as the same object and keeps its
+    :meth:`~MulticastTree.edge_ends` from its second send on.  Pass a
+    tuple to key on it as is.
     """
-    builder = TreeBuilder(router, root)
-    builder.add_destinations(destinations)
-    return builder.build()
+    if not isinstance(destinations, tuple):
+        destinations = tuple(destinations)
+    key = (root, destinations)
+    memo = router.tree_memo
+    if memo is None:
+        memo = router.tree_memo = TreeMemo()
+    tree = memo.get(key)
+    if tree is None:
+        builder = TreeBuilder(router, root)
+        builder.add_destinations(destinations)
+        tree = builder.build()
+        memo.put(key, tree)
+    return tree

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.messages import Message, MessageCategory
 from repro.network.radio import EnergyModel, MessageStats
+from repro.routing.multicast import MulticastTree
 
 
 class TestMessageStats:
@@ -122,3 +125,65 @@ class TestMessage:
 
     def test_category_str(self):
         assert str(MessageCategory.QUERY_REPLY) == "query_reply"
+
+
+def _tree(parent_picks: list[int]) -> MulticastTree:
+    """A tree over nodes 0..n rooted at 0: node ``i + 1`` hangs under
+    node ``parent_picks[i] % (i + 1)``."""
+    parents: dict[int, int] = {}
+    depths = {0: 0}
+    for index, pick in enumerate(parent_picks):
+        parent = pick % (index + 1)
+        parents[index + 1] = parent
+        depths[index + 1] = depths[parent] + 1
+    return MulticastTree(
+        root=0, destinations=tuple(parents), parents=parents, depths=depths
+    )
+
+
+_categories = st.sampled_from(list(MessageCategory))
+_nodes = st.integers(min_value=0, max_value=40)
+_charges = st.one_of(
+    st.tuples(
+        st.just("record"),
+        _categories,
+        st.integers(min_value=0, max_value=9),
+        st.one_of(st.none(), _nodes),
+        st.one_of(st.none(), _nodes),
+    ),
+    st.tuples(st.just("path"), _categories, st.lists(_nodes, max_size=8)),
+    st.tuples(
+        st.just("tree"),
+        _categories,
+        st.lists(st.integers(min_value=0, max_value=40), max_size=8),
+        st.booleans(),
+    ),
+    st.tuples(st.just("reset")),
+)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=2), _charges), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_total_is_the_sum_of_category_counts(steps):
+    root = MessageStats()
+    child = root.scope("child")
+    scopes = [root, child, child.scope("grandchild")]
+    last: MulticastTree | None = None
+    for target, (kind, *args) in steps:
+        stats = scopes[target]
+        if kind == "record":
+            category, hops, sender, receiver = args
+            stats.record(category, hops, sender=sender, receiver=receiver)
+        elif kind == "path":
+            category, path = args
+            stats.record_path(category, path)
+        elif kind == "tree":
+            category, picks, reply = args
+            # A reply retraces the last tree sent, which may join it.
+            tree = last if reply and last is not None else _tree(picks)
+            last = tree
+            stats.record_tree(category, tree, reply=reply)
+        else:
+            stats.reset()
+        for scope in scopes:
+            assert scope.total == sum(scope.count(c) for c in MessageCategory)

@@ -88,6 +88,47 @@ class TestSyntheticResolution:
         assert "app.impls.FileSink.emit" in callees
         assert "app.impls.NullSink.emit" in callees
 
+    def test_base_imported_through_its_package_is_resolved(
+        self, tmp_path: Path
+    ) -> None:
+        # The concrete class inherits the protocol's methods from a base
+        # that its module imports through the package's re-export.
+        graph = _graph_for(
+            tmp_path,
+            {
+                "src/repro/exec/__init__.py": (
+                    "from repro.exec.stages import SinkTreeSystem, StagedQuerySystem\n"
+                ),
+                "src/repro/exec/stages.py": (
+                    "from typing import Protocol\n"
+                    "\n"
+                    "class StagedQuerySystem(Protocol):\n"
+                    "    def plan_query(self, sink, query): ...\n"
+                    "    def execute_plan(self, plan): ...\n"
+                    "\n"
+                    "class SinkTreeSystem:\n"
+                    "    def execute_plan(self, plan):\n"
+                    "        return plan\n"
+                ),
+                "src/repro/dim/index.py": (
+                    "from repro.exec import SinkTreeSystem\n"
+                    "\n"
+                    "class DimIndex(SinkTreeSystem):\n"
+                    "    def plan_query(self, sink, query):\n"
+                    "        return query\n"
+                ),
+            },
+        )
+        assert graph.classes["repro.dim.index.DimIndex"].bases == [
+            "repro.exec.stages.SinkTreeSystem"
+        ]
+        assert graph.implementations("repro.exec.stages.StagedQuerySystem") == [
+            "repro.dim.index.DimIndex"
+        ]
+        assert graph.resolve_symbol("repro.dim.index", "SinkTreeSystem") == (
+            "repro.exec.stages.SinkTreeSystem"
+        )
+
     def test_constructor_assignment_types_the_receiver(
         self, tmp_path: Path
     ) -> None:

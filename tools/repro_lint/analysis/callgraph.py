@@ -149,8 +149,26 @@ class CallGraph:
         target = aliases.get(head)
         full = f"{target}.{rest}" if target and rest else (target or dotted)
         for candidate in (full, f"{module}.{dotted}", dotted):
-            if candidate in self.functions or candidate in self.classes:
-                return candidate
+            defined = self._defining(candidate)
+            if defined is not None:
+                return defined
+        return None
+
+    def _defining(self, qualname: str) -> str | None:
+        """``qualname`` if it is defined, else the definition a package
+        re-exports under it (``from repro.exec import SinkTreeSystem``
+        names ``repro.exec.stages.SinkTreeSystem``), followed through
+        every re-export in between."""
+        seen: set[str] = set()
+        while qualname not in seen:
+            if qualname in self.functions or qualname in self.classes:
+                return qualname
+            seen.add(qualname)
+            package, _, name = qualname.rpartition(".")
+            target = self.imports.get(package, {}).get(name)
+            if target is None:
+                return None
+            qualname = target
         return None
 
     def mro(self, cls: str) -> Iterator[ClassInfo]:
